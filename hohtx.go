@@ -53,6 +53,7 @@ package hohtx
 import (
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
+	"hohtx/internal/link"
 	"hohtx/internal/list"
 	"hohtx/internal/serve"
 	"hohtx/internal/sets"
@@ -200,29 +201,10 @@ func (c ClockPolicy) stm() stm.ClockPolicy {
 	return stm.ClockGV1
 }
 
-func (c Config) listConfig(doubly bool) list.Config {
-	out := list.Config{
-		Mode:    list.ModeRR,
-		RRKind:  c.Reservation.kind(),
-		Threads: c.Threads,
-		Window:  core.Window{W: c.Window, NoScatter: c.NoScatter},
-	}
-	if c.SharedPool {
-		out.ArenaPolicy = arena.PolicyShared
-	}
-	if c.SerialAfter > 0 {
-		out.Profile = stm.HTMProfile(c.SerialAfter)
-	}
-	if c.SimulatePreemption {
-		out.YieldShift = 5
-	}
-	out.ClockPolicy = c.Clock.stm()
-	return out
-}
-
-func (c Config) treeConfig() tree.Config {
-	out := tree.Config{
-		Mode:    tree.ModeRR,
+// linkConfig maps the public Config onto the structures' shared one.
+func (c Config) linkConfig() link.Config {
+	out := link.Config{
+		Mode:    link.ModeRR,
 		RRKind:  c.Reservation.kind(),
 		Threads: c.Threads,
 		Window:  core.Window{W: c.Window, NoScatter: c.NoScatter},
@@ -242,50 +224,33 @@ func (c Config) treeConfig() tree.Config {
 
 // NewListSet returns a singly linked list set (best for small key ranges
 // and teaching; O(n) operations).
-func NewListSet(cfg Config) Set { return list.New(cfg.listConfig(false)) }
+func NewListSet(cfg Config) Set { return list.New(cfg.linkConfig()) }
 
 // NewDoublyListSet returns a doubly linked list set; removals unlink in a
 // second, smaller transaction (§4.2), which reduces conflicts under
 // write-heavy loads.
-func NewDoublyListSet(cfg Config) Set { return list.NewDoubly(cfg.listConfig(true)) }
+func NewDoublyListSet(cfg Config) Set { return list.NewDoubly(cfg.linkConfig()) }
 
 // NewInternalTreeSet returns an unbalanced internal BST set (§4.3).
-func NewInternalTreeSet(cfg Config) Set { return tree.NewInternal(cfg.treeConfig()) }
+func NewInternalTreeSet(cfg Config) Set { return tree.NewInternal(cfg.linkConfig()) }
 
 // NewExternalTreeSet returns an unbalanced external BST set; keys live in
 // leaves, making removals structurally simple (no successor swaps).
-func NewExternalTreeSet(cfg Config) Set { return tree.NewExternal(cfg.treeConfig()) }
+func NewExternalTreeSet(cfg Config) Set { return tree.NewExternal(cfg.linkConfig()) }
 
 // NewHashSet returns a hash set of bucketed hand-over-hand chains — the
 // structure the paper's conclusion proposes as the next application of
 // revocable reservations. buckets is rounded up to a power of two; size it
 // for a small expected load factor (e.g. expected keys / 4).
 func NewHashSet(cfg Config, buckets int) Set {
-	return list.NewHashTable(cfg.listConfig(false), buckets)
+	return list.NewHashTable(cfg.linkConfig(), buckets)
 }
 
 // NewSkipListSet returns a skiplist set — the probabilistically balanced
 // answer to the paper's "balanced trees" future-work item: O(log n)
 // expected operations, one Revoke per removal regardless of node height,
 // and precise reclamation throughout.
-func NewSkipListSet(cfg Config) Set {
-	out := skiplist.Config{
-		Threads: cfg.Threads,
-		RRKind:  cfg.Reservation.kind(),
-		Window:  core.Window{W: cfg.Window, NoScatter: cfg.NoScatter},
-	}
-	if cfg.SharedPool {
-		out.ArenaPolicy = arena.PolicyShared
-	}
-	if cfg.SerialAfter > 0 {
-		out.Profile = stm.HTMProfile(cfg.SerialAfter)
-	}
-	if cfg.SimulatePreemption {
-		out.YieldShift = 5
-	}
-	out.ClockPolicy = cfg.Clock.stm()
-	return skiplist.New(out)
-}
+func NewSkipListSet(cfg Config) Set { return skiplist.New(cfg.linkConfig()) }
 
 // Ascender is implemented by sets that support ordered iteration
 // (currently NewListSet, NewDoublyListSet, NewSkipListSet, and
@@ -312,7 +277,7 @@ type OrderedMap = tree.Map
 // NewOrderedMap constructs an ordered map. It accepts the same Config as
 // the sets (window, reservation scheme, allocator policy).
 func NewOrderedMap(cfg Config) *OrderedMap {
-	return tree.NewMap(cfg.treeConfig())
+	return tree.NewMap(cfg.linkConfig())
 }
 
 // Tunable is implemented by every Set built by this package: SetWindow

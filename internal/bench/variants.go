@@ -6,6 +6,7 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
+	"hohtx/internal/link"
 	"hohtx/internal/list"
 	"hohtx/internal/lockfree"
 	"hohtx/internal/obs"
@@ -137,165 +138,87 @@ func BestWindow(f Family, threads int) int {
 	}
 }
 
-// rrKindByName maps legend labels to reservation kinds.
-func rrKindByName(name string) (core.Kind, bool) {
-	for _, k := range core.Kinds() {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // Build constructs the variant for a family at a thread count. It returns
 // an error for combinations the paper does not define (e.g. REF on the
-// doubly linked list).
+// doubly linked list); link.Modes is the one support table.
 func Build(f Family, spec VariantSpec, threads int) (sets.Set, error) {
+	if set, ok := buildLockFree(f, spec, threads); ok {
+		if set == nil {
+			return nil, fmt.Errorf("bench: %s is undefined for %s (as in the paper)", spec.Name, f)
+		}
+		return set, nil
+	}
+	if link.Modes(string(f)) == nil {
+		return nil, fmt.Errorf("bench: unknown family %q", f)
+	}
+	mode, kind, ok := link.ParseVariant(spec.Name)
+	if !ok {
+		return nil, fmt.Errorf("bench: unknown %s variant %q", f, spec.Name)
+	}
+	if !link.Supports(string(f), mode) {
+		return nil, fmt.Errorf("bench: %s is undefined for %s (as in the paper)", spec.Name, f)
+	}
 	w := spec.Window
 	if w == 0 {
 		w = BestWindow(f, threads)
 	}
-	win := core.Window{W: w, NoScatter: spec.NoScatter}
-
+	cfg := link.Config{
+		Mode:        mode,
+		RRKind:      kind,
+		Threads:     threads,
+		Window:      core.Window{W: w, NoScatter: spec.NoScatter},
+		ArenaPolicy: spec.Policy,
+		Assoc:       spec.Assoc,
+		YieldShift:  simShift(spec.NoSimulatedPreemption),
+		ClockPolicy: clockOf(spec),
+		Obs:         obsDomain(spec, threads),
+	}
+	if spec.Capacity > 0 {
+		// The paper's serial fallback: after 2 attempts for the lists,
+		// 8 for the trees (and the skiplist).
+		attempts := 8
+		if f == FamilySingly || f == FamilyDoubly {
+			attempts = 2
+		}
+		cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: attempts}
+	}
 	switch f {
-	case FamilySingly, FamilyDoubly:
-		cfg := list.Config{
-			Threads:     threads,
-			Window:      win,
-			ArenaPolicy: spec.Policy,
-			Assoc:       spec.Assoc,
-			YieldShift:  simShift(spec.NoSimulatedPreemption),
-			ClockPolicy: clockOf(spec),
-			Obs:         obsDomain(spec, threads),
-		}
-		if spec.Capacity > 0 {
-			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: 2}
-		}
-		switch spec.Name {
-		case "HTM":
-			cfg.Mode = list.ModeHTM
-		case "TMHP":
-			cfg.Mode = list.ModeTMHP
-		case "TMHE":
-			cfg.Mode = list.ModeTMHE
-		case "TMVBR":
-			cfg.Mode = list.ModeTMVBR
-		case "REF":
-			if f == FamilyDoubly {
-				return nil, fmt.Errorf("bench: REF is undefined for the doubly linked list")
-			}
-			cfg.Mode = list.ModeREF
-		case "ER":
-			if f == FamilyDoubly {
-				return nil, fmt.Errorf("bench: ER is undefined for the doubly linked list")
-			}
-			cfg.Mode = list.ModeER
-		case "LFLeak", "LFHP":
-			if f == FamilyDoubly {
-				return nil, fmt.Errorf("bench: no lock-free doubly linked list (as in the paper)")
-			}
-			return lockfree.NewHarrisList(lockfree.ListConfig{
-				Threads:           threads,
-				UseHazardPointers: spec.Name == "LFHP",
-				ArenaPolicy:       spec.Policy,
-				YieldShift:        simShift(spec.NoSimulatedPreemption),
-			}), nil
-		default:
-			k, ok := rrKindByName(spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown list variant %q", spec.Name)
-			}
-			cfg.Mode = list.ModeRR
-			cfg.RRKind = k
-		}
-		if f == FamilyDoubly {
-			return list.NewDoubly(cfg), nil
-		}
+	case FamilySingly:
 		return list.New(cfg), nil
-
-	case FamilyInternalTree, FamilyExternalTree:
-		cfg := tree.Config{
-			Threads:     threads,
-			Window:      win,
-			ArenaPolicy: spec.Policy,
-			Assoc:       spec.Assoc,
-			YieldShift:  simShift(spec.NoSimulatedPreemption),
-			ClockPolicy: clockOf(spec),
-			Obs:         obsDomain(spec, threads),
-		}
-		if spec.Capacity > 0 {
-			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: 8}
-		}
-		switch spec.Name {
-		case "HTM":
-			cfg.Mode = tree.ModeHTM
-		case "TMHP":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: no internal tree with hazard pointers (as in the paper)")
-			}
-			cfg.Mode = tree.ModeTMHP
-		case "TMHE":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: the deferred schemes run on the external tree only")
-			}
-			cfg.Mode = tree.ModeTMHE
-		case "TMVBR":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: the deferred schemes run on the external tree only")
-			}
-			cfg.Mode = tree.ModeTMVBR
-		case "LFLeak":
-			if f == FamilyInternalTree {
-				return nil, fmt.Errorf("bench: the lock-free comparator tree is external (as in the paper)")
-			}
-			return lockfree.NewNMTree(lockfree.NMConfig{
-				Threads:    threads,
-				YieldShift: simShift(spec.NoSimulatedPreemption),
-			}), nil
-		default:
-			k, ok := rrKindByName(spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown tree variant %q", spec.Name)
-			}
-			cfg.Mode = tree.ModeRR
-			cfg.RRKind = k
-		}
-		if f == FamilyInternalTree {
-			return tree.NewInternal(cfg), nil
-		}
+	case FamilyDoubly:
+		return list.NewDoubly(cfg), nil
+	case FamilyInternalTree:
+		return tree.NewInternal(cfg), nil
+	case FamilyExternalTree:
 		return tree.NewExternal(cfg), nil
-
-	case FamilySkipList:
-		cfg := skiplist.Config{
-			Threads:     threads,
-			Window:      win,
-			ArenaPolicy: spec.Policy,
-			Assoc:       spec.Assoc,
-			YieldShift:  simShift(spec.NoSimulatedPreemption),
-			ClockPolicy: clockOf(spec),
-			Obs:         obsDomain(spec, threads),
-		}
-		if spec.Capacity > 0 {
-			cfg.Profile = stm.Profile{Capacity: spec.Capacity, MaxAttempts: 8}
-		}
-		switch spec.Name {
-		case "HTM":
-			cfg.Mode = skiplist.ModeHTM
-		case "TMHE":
-			cfg.Mode = skiplist.ModeTMHE
-		case "TMVBR":
-			cfg.Mode = skiplist.ModeTMVBR
-		default:
-			k, ok := rrKindByName(spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown skiplist variant %q", spec.Name)
-			}
-			cfg.Mode = skiplist.ModeRR
-			cfg.RRKind = k
-		}
+	default:
 		return skiplist.New(cfg), nil
 	}
-	return nil, fmt.Errorf("bench: unknown family %q", f)
+}
+
+// buildLockFree builds the lock-free comparators (LFLeak, LFHP). ok
+// reports whether spec names one; a nil set with ok means the family has
+// no lock-free counterpart (the paper's comparators are the Harris list
+// and the external Natarajan–Mittal tree).
+func buildLockFree(f Family, spec VariantSpec, threads int) (set sets.Set, ok bool) {
+	if spec.Name != "LFLeak" && spec.Name != "LFHP" {
+		return nil, false
+	}
+	switch {
+	case f == FamilySingly:
+		return lockfree.NewHarrisList(lockfree.ListConfig{
+			Threads:           threads,
+			UseHazardPointers: spec.Name == "LFHP",
+			ArenaPolicy:       spec.Policy,
+			YieldShift:        simShift(spec.NoSimulatedPreemption),
+		}), true
+	case f == FamilyExternalTree && spec.Name == "LFLeak":
+		return lockfree.NewNMTree(lockfree.NMConfig{
+			Threads:    threads,
+			YieldShift: simShift(spec.NoSimulatedPreemption),
+		}), true
+	}
+	return nil, true
 }
 
 // BuildSharded constructs shards independent instances of a variant —

@@ -36,13 +36,11 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 	if len(ops) == 0 {
 		return nil
 	}
-	ts := &l.threads[tid]
-	ts.ops += uint64(len(ops))
-	if l.ep != nil {
+	if l.Begin(tid, len(ops)) {
 		// ModeER: the batch is one epoch-protected critical section.
-		l.ep.Enter(tid)
-		defer l.ep.Exit(tid)
+		defer l.End(tid)
 	}
+	ts := &l.threads[tid]
 	// Result and visit-order buffers live in per-thread state and are
 	// reused across batches (grow-only): the returned slice is valid until
 	// the same thread's next Apply, which every caller respects — the
@@ -64,26 +62,26 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 		order[i] = i
 	}
 	sortOrder(order, ops, chainOf)
-	l.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
+	l.RT.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
 		pos := 0
 		for pos < len(order) {
 			chain := chainOf(ops[order[pos]].Key)
 			prevH := chainHead(chain)
-			currH := l.loadLink(tx, tid, prevH, &l.ar.At(prevH).next)
+			currH := l.LoadLink(tx, tid, prevH, &l.Arena.At(prevH).next)
 			var ck uint64
 			ckKnown := false
 			for pos < len(order) && chainOf(ops[order[pos]].Key) == chain {
 				key := ops[order[pos]].Key
 				for !currH.IsNil() {
 					if !ckKnown {
-						ck = l.loadWord(tx, tid, currH, &l.ar.At(currH).key)
+						ck = l.LoadWord(tx, tid, currH, &l.Arena.At(currH).key)
 						ckKnown = true
 					}
 					if ck >= key {
 						break
 					}
 					prevH = currH
-					currH = l.loadLink(tx, tid, currH, &l.ar.At(currH).next)
+					currH = l.LoadLink(tx, tid, currH, &l.Arena.At(currH).next)
 					ckKnown = false
 				}
 				present := !currH.IsNil() && ck == key
@@ -103,7 +101,7 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 						if !present {
 							out[i] = false
 						} else {
-							nxt := l.loadLink(tx, tid, currH, &l.ar.At(currH).next)
+							nxt := l.LoadLink(tx, tid, currH, &l.Arena.At(currH).next)
 							removeAt(tx, tid, prevH, currH)
 							currH = nxt
 							ckKnown = false
@@ -119,14 +117,6 @@ func (l *List) applyBatch(tid int, ops []sets.Op,
 		}
 	})
 	return out
-}
-
-// insertSingly links a new node after prevH (no back link); it is the
-// batch form of the singly linked Insert's not-found callback.
-func (l *List) insertSingly(tx *stm.Tx, tid int, key uint64, prevH, currH arena.Handle) arena.Handle {
-	nh := l.allocNode(tx, tid, key, currH, arena.Nil)
-	l.ar.At(prevH).next.Store(tx, uint64(nh))
-	return nh
 }
 
 // Apply implements sets.Set: one transaction, one sorted pass.
@@ -151,29 +141,6 @@ func (d *DList) Apply(tid int, ops []sets.Op) []sets.Result {
 		d.insertDoubly,
 		d.removeDoublyInTx,
 	)
-}
-
-func (d *DList) insertDoubly(tx *stm.Tx, tid int, key uint64, prevH, currH arena.Handle) arena.Handle {
-	nh := d.allocNode(tx, tid, key, currH, prevH)
-	d.ar.At(prevH).next.Store(tx, uint64(nh))
-	if !currH.IsNil() {
-		d.ar.At(currH).prev.Store(tx, uint64(nh))
-	}
-	return nh
-}
-
-func (d *DList) removeDoublyInTx(tx *stm.Tx, tid int, prevH, currH arena.Handle) {
-	d.unlinkDoubly(tx, tid, currH)
-	switch d.mode {
-	case ModeRR:
-		d.rr.Revoke(tx, uint64(currH))
-		tx.OnCommitCall(d.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeHTM:
-		tx.OnCommitCall(d.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeTMHP, ModeTMHE, ModeTMVBR:
-		d.ar.At(currH).dead.Store(tx, 1)
-		tx.OnCommitCall(d.retireHook, uint64(int64(tid)), uint64(currH), d.threads[tid].ops)
-	}
 }
 
 // Apply implements sets.Set for the hash table: ops are grouped by bucket

@@ -2,6 +2,7 @@ package list
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/link"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -21,14 +22,12 @@ type DList struct {
 
 var _ sets.Set = (*DList)(nil)
 
-// NewDoubly constructs a doubly linked list set. ModeREF is not supported
-// (the paper drops reference counting after the singly linked list
-// experiments).
-func NewDoubly(cfg Config) *DList {
-	if cfg.Mode == ModeREF || cfg.Mode == ModeER {
-		panic("list: ModeREF and ModeER are only implemented for the singly linked list")
-	}
-	return &DList{List: *New(cfg)}
+// NewDoubly constructs a doubly linked list set. ModeREF and ModeER are
+// not supported (the paper drops reference counting after the singly
+// linked list experiments, and early release needs a singly linked
+// spine).
+func NewDoubly(cfg link.Config) *DList {
+	return &DList{List: *newList(cfg, "doubly")}
 }
 
 // Insert implements sets.Set, maintaining prev links.
@@ -36,15 +35,22 @@ func (d *DList) Insert(tid int, key uint64) bool {
 	res, _ := d.apply(tid, key, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			nh := d.allocNode(tx, tid, key, currH, prevH)
-			d.ar.At(prevH).next.Store(tx, uint64(nh))
-			if !currH.IsNil() {
-				d.ar.At(currH).prev.Store(tx, uint64(nh))
-			}
+			d.insertDoubly(tx, tid, key, prevH, currH)
 			return true
 		},
 	)
 	return res
+}
+
+// insertDoubly links a new node holding key between prevH and currH,
+// maintaining both directions, and returns it.
+func (d *DList) insertDoubly(tx *stm.Tx, tid int, key uint64, prevH, currH arena.Handle) arena.Handle {
+	nh := d.allocNode(tx, tid, key, currH, prevH)
+	d.Arena.At(prevH).next.Store(tx, uint64(nh))
+	if !currH.IsNil() {
+		d.Arena.At(currH).prev.Store(tx, uint64(nh))
+	}
+	return nh
 }
 
 // phase-2 outcomes of the two-transaction remove.
@@ -56,13 +62,12 @@ const (
 
 // Remove implements sets.Set.
 func (d *DList) Remove(tid int, key uint64) bool {
-	if d.mode == ModeHTM {
+	if !d.Mode.Windowed() {
 		// Single-transaction removal; the traversal and unlink commit
-		// together, so no reservation is involved.
+		// together, so no hold is involved.
 		res, _ := d.apply(tid, key, false,
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-				d.unlinkDoubly(tx, tid, currH)
-				tx.OnCommit(func() { d.ar.Free(tid, currH) })
+				d.removeDoublyInTx(tx, tid, prevH, currH)
 				return true
 			},
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
@@ -71,25 +76,14 @@ func (d *DList) Remove(tid int, key uint64) bool {
 	}
 	for {
 		// Phase 1: locate the node and leave our hold attached to it.
-		found, target := d.apply(tid, key, true,
+		found, _ := d.apply(tid, key, true,
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return true },
 			func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		)
 		if !found {
 			return false
 		}
-		var out int
-		switch d.mode {
-		case ModeRR:
-			out = d.removePhase2RR(tid, target)
-		case ModeTMHP:
-			out = d.removePhase2TMHP(tid, target)
-		case ModeTMHE:
-			out = d.removePhase2TMHE(tid, target)
-		case ModeTMVBR:
-			out = d.removePhase2TMVBR(tid, target)
-		}
-		switch out {
+		switch d.removePhase2(tid) {
 		case removedOp:
 			return true
 		case lostOp:
@@ -102,142 +96,52 @@ func (d *DList) Remove(tid int, key uint64) bool {
 	}
 }
 
-// removePhase2RR unlinks and revokes the reserved target in its own
-// transaction.
-func (d *DList) removePhase2RR(tid int, target arena.Handle) int {
+// removePhase2 resumes from the hold phase 1 left on the target and, if
+// the link still vouches for it, unlinks and reclaims it in its own
+// transaction. A lost hold proves a racing remove took the node when the
+// link is strict (a strict reservation: only the node's remover revokes
+// it; the deferred modes: the dead mark); a relaxed reservation may have
+// lost it spuriously, so the operation retries.
+func (d *DList) removePhase2(tid int) int {
 	out := retryOp
-	d.rt.AtomicT(tid, func(tx *stm.Tx) {
-		out = retryOp
-		r := d.rr.Get(tx, tid)
-		if r == 0 {
-			d.rr.Release(tx, tid)
-			if d.rr.Strict() {
-				// Strict: only Revoke(target) clears it, and only the
-				// thread removing target revokes it.
+	d.RT.AtomicT(tid, func(tx *stm.Tx) {
+		target, held := d.Start(tx, tid, arena.Nil)
+		// The operation ends in this transaction whatever it finds.
+		d.Terminal(tx, tid, true)
+		if !held {
+			out = retryOp
+			if d.StrictHold() {
 				out = lostOp
 			}
 			return
 		}
-		// Get can only return what phase 1 reserved.
-		h := arena.Handle(r)
-		d.unlinkDoubly(tx, tid, h)
-		d.rr.Revoke(tx, uint64(h))
-		d.rr.Release(tx, tid)
-		tx.OnCommit(func() { d.ar.Free(tid, h) })
+		d.removeDoublyInTx(tx, tid, arena.Nil, target)
 		out = removedOp
 	})
 	return out
 }
 
-// removePhase2TMHP unlinks the hazard-protected target, using the dead
-// flag where the strict reservation would have detected a racing remove.
-func (d *DList) removePhase2TMHP(tid int, target arena.Handle) int {
-	ts := &d.threads[tid]
-	out := retryOp
-	d.rt.AtomicT(tid, func(tx *stm.Tx) {
-		out = retryOp
-		curr := d.ar.At(target)
-		if d.loadWord(tx, tid, target, &curr.dead) != 0 {
-			out = lostOp
-			return
-		}
-		d.unlinkDoubly(tx, tid, target)
-		curr.dead.Store(tx, 1)
-		stamp := ts.ops
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			d.hp.ClearSlots(tid)
-			d.hp.Retire(tid, target, stamp)
-		})
-		out = removedOp
-	})
-	if out == lostOp {
-		ts.start = arena.Nil
-		d.hp.ClearSlots(tid)
-	}
-	return out
-}
-
-// removePhase2TMHE is removePhase2TMHP with an era reservation standing
-// in for the hazard pointer; the dead flag plays the same role.
-func (d *DList) removePhase2TMHE(tid int, target arena.Handle) int {
-	ts := &d.threads[tid]
-	out := retryOp
-	d.rt.AtomicT(tid, func(tx *stm.Tx) {
-		out = retryOp
-		curr := d.ar.At(target)
-		if d.loadWord(tx, tid, target, &curr.dead) != 0 {
-			out = lostOp
-			return
-		}
-		d.unlinkDoubly(tx, tid, target)
-		curr.dead.Store(tx, 1)
-		stamp := ts.ops
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			d.he.ClearSlots(tid)
-			d.he.Retire(tid, target, stamp)
-		})
-		out = removedOp
-	})
-	if out == lostOp {
-		ts.start = arena.Nil
-		d.he.ClearSlots(tid)
-	}
-	return out
-}
-
-// removePhase2TMVBR unlinks the held target with nothing pinning it
-// between the phases: like windowStart, the dead load is bracketed by
-// arena-generation liveness checks so a free-and-recycle between phases
-// reads as a lost race rather than a wrong-incarnation unlink.
-func (d *DList) removePhase2TMVBR(tid int, target arena.Handle) int {
-	ts := &d.threads[tid]
-	out := retryOp
-	d.rt.AtomicT(tid, func(tx *stm.Tx) {
-		out = retryOp
-		if !d.ar.Live(target) {
-			out = lostOp
-			return
-		}
-		curr := d.ar.At(target)
-		if d.loadWord(tx, tid, target, &curr.dead) != 0 {
-			out = lostOp
-			return
-		}
-		if !d.ar.Live(target) {
-			out = lostOp
-			return
-		}
-		d.unlinkDoubly(tx, tid, target)
-		curr.dead.Store(tx, 1)
-		stamp := ts.ops
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			d.vbr.Retire(tid, target, stamp)
-		})
-		out = removedOp
-	})
-	if out == lostOp {
-		ts.start = arena.Nil
-	}
-	return out
+// removeDoublyInTx unlinks currH through its own links and reclaims it;
+// prevH is unused (the back link names the predecessor).
+func (d *DList) removeDoublyInTx(tx *stm.Tx, tid int, _, currH arena.Handle) {
+	d.unlinkDoubly(tx, tid, currH)
+	d.Reclaim(tx, tid, currH)
 }
 
 // unlinkDoubly splices currH out using its own links; the predecessor is
 // always a real node (ultimately the head sentinel).
 func (d *DList) unlinkDoubly(tx *stm.Tx, tid int, currH arena.Handle) {
-	curr := d.ar.At(currH)
-	p := d.loadLink(tx, tid, currH, &curr.prev)
-	nx := d.loadLink(tx, tid, currH, &curr.next)
+	curr := d.Arena.At(currH)
+	p := d.LoadLink(tx, tid, currH, &curr.prev)
+	nx := d.LoadLink(tx, tid, currH, &curr.next)
 	if p.IsNil() {
 		// Only a poisoned prev defuses to Nil (real predecessors bottom out
 		// at the head sentinel); this attempt is doomed, skip the splice.
 		return
 	}
-	d.ar.At(p).next.Store(tx, uint64(nx))
+	d.Arena.At(p).next.Store(tx, uint64(nx))
 	if !nx.IsNil() {
-		d.ar.At(nx).prev.Store(tx, uint64(p))
+		d.Arena.At(nx).prev.Store(tx, uint64(p))
 	}
 }
 
@@ -245,8 +149,8 @@ func (d *DList) unlinkDoubly(tx *stm.Tx, tid int, currH arena.Handle) {
 // test helper and requires quiescence.
 func (d *DList) ValidateLinks() bool {
 	prev := d.head
-	for h := arena.Handle(d.ar.At(d.head).next.Raw()); !h.IsNil(); {
-		n := d.ar.At(h)
+	for h := arena.Handle(d.Arena.At(d.head).next.Raw()); !h.IsNil(); {
+		n := d.Arena.At(h)
 		if arena.Handle(n.prev.Raw()) != prev {
 			return false
 		}

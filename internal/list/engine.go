@@ -6,45 +6,10 @@ import (
 )
 
 // The hand-over-hand window engine (Listing 5's Apply), shared by the
-// singly and doubly linked lists. Each iteration of the outer loop runs
-// one window transaction; the traversal position is carried across
-// transactions by the mode's linking mechanism:
-//
-//	ModeRR    — a revocable reservation on the window-start node
-//	ModeHTM   — never cuts (the whole operation is one transaction)
-//	ModeTMHP  — a thread-local start handle + a published hazard pointer
-//	ModeTMHE  — a thread-local start handle + a published era reservation
-//	ModeTMVBR — a thread-local start handle, revalidated on resume
-//	ModeREF   — a thread-local start handle + a transactional refcount
-//
-// TMHP's resume protocol deserves a note. A window ends by publishing a
-// hazard on the new start node and *then* transactionally loading its
-// dead flag. Atomics are sequentially consistent, so if a concurrent
-// remover's hazard scan missed our publication, the scan (and hence the
-// remover's commit, which precedes its retire) happened before our load —
-// which must then observe a bumped version, fail snapshot extension
-// against the unlink write we read past, and abort this window. Either
-// the node is protected or we never resume from it.
-//
-// TMHE runs the same protocol with "hazard" read as "era reservation":
-// the published era E satisfies birth <= E (the node was allocated before
-// we observed it; eras only grow) and, when a remover's scan sees the
-// publication, del >= E (the retire stamps an era at least as new), so E
-// lies inside the retiree's lifetime interval and the scan keeps it.
-// If the scan instead missed the publication, the TMHP ordering argument
-// applies unchanged and the dead load kills the resume.
-//
-// TMVBR publishes nothing, so the held start node can be freed — and its
-// arena slot recycled — between windows. Resume therefore revalidates:
-// check arena generation liveness, transactionally load the dead flag,
-// then re-check liveness. A free between the two checks either poisons
-// the load's version (the retire fence lifts the cell above any read
-// version that could still validate, so the transaction cannot commit a
-// stale read) or is caught by the second liveness check before the
-// traversal trusts a wrong-incarnation value. Once a live, not-dead read
-// of the correct incarnation is pinned in the read set, any later free
-// dooms the transaction at validation — the fence is what makes "no
-// reservation at all" sound here, exactly as in VBR's checkpoint scheme.
+// singly and doubly linked lists and the hash table's chains. Each
+// iteration of the outer loop runs one window transaction; the traversal
+// position is carried across transactions by the mode's link (package
+// link, whose comment has the resume protocols).
 
 // applyFn is a terminal-phase callback; prevH's successor is currH at the
 // transaction's snapshot. For the found callback currH holds the key; for
@@ -53,9 +18,9 @@ import (
 type applyFn func(tx *stm.Tx, prevH, currH arena.Handle) bool
 
 // apply runs one set operation. If reserveFound is true, a successful
-// found-terminal leaves the operation's linking mechanism attached to
-// currH instead of releasing it (phase one of the doubly linked list's
-// two-transaction remove, §4.2) and returns currH as target.
+// found-terminal leaves the operation's link attached to currH instead of
+// releasing it (phase one of the doubly linked list's two-transaction
+// remove, §4.2) and returns currH as target.
 func (l *List) apply(tid int, key uint64, reserveFound bool, onFound, onNotFound applyFn) (res bool, target arena.Handle) {
 	return l.applyAt(tid, key, l.head, reserveFound, onFound, onNotFound)
 }
@@ -63,58 +28,40 @@ func (l *List) apply(tid int, key uint64, reserveFound bool, onFound, onNotFound
 // applyAt is apply with an explicit traversal root, letting one List's
 // machinery serve many independent chains (the hash table's buckets).
 func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool, onFound, onNotFound applyFn) (res bool, target arena.Handle) {
-	ts := &l.threads[tid]
-	ts.ops++
-	if l.ep != nil {
-		// ModeER: the whole operation is one epoch-protected critical
-		// section, so nodes its released reads still point at cannot be
-		// physically reclaimed underneath it.
-		l.ep.Enter(tid)
-		defer l.ep.Exit(tid)
+	if l.Begin(tid, 1) {
+		defer l.End(tid)
 	}
+	// ModeER keeps only the last W spine nodes' reads under conflict
+	// detection; everything older is released.
+	marks := l.threads[tid].marks
 	for {
 		done := false
-		l.rt.AtomicT(tid, func(tx *stm.Tx) {
+		l.RT.AtomicT(tid, func(tx *stm.Tx) {
 			// Reset per attempt: the closure re-runs on abort.
 			done = false
 			res = false
 			target = arena.Nil
 
-			win := l.window()
-			startH, held := l.windowStart(tx, tid, head)
-			var budget int
-			if held {
-				budget = win.Next()
-			} else {
-				startH = head
-				budget = win.First(tx)
-			}
-			if l.mode == ModeER {
-				// One unbounded transaction; W instead bounds the
-				// retained read suffix (the rolling early release below).
-				budget = int(^uint(0) >> 1)
-			}
-
+			ar := l.Arena
+			startH, held := l.Start(tx, tid, head)
+			budget := l.Budget(tx, held)
 			prevH := startH
-			currH := l.loadLink(tx, tid, prevH, &l.ar.At(prevH).next)
+			currH := l.LoadLink(tx, tid, prevH, &ar.At(prevH).next)
 			steps := 0
 			var k uint64
 			for !currH.IsNil() {
-				if l.mode == ModeER {
-					// Keep only the last W spine nodes' reads under
-					// conflict detection; everything older is released.
-					w := len(ts.marks)
+				if w := len(marks); w > 0 {
 					if steps >= w {
-						tx.ForgetReadsBefore(ts.marks[steps%w])
+						tx.ForgetReadsBefore(marks[steps%w])
 					}
-					ts.marks[steps%w] = tx.ReadMark()
+					marks[steps%w] = tx.ReadMark()
 				}
-				k = l.loadWord(tx, tid, currH, &l.ar.At(currH).key)
+				k = l.LoadWord(tx, tid, currH, &ar.At(currH).key)
 				if k >= key || steps >= budget {
 					break
 				}
 				prevH = currH
-				currH = l.loadLink(tx, tid, currH, &l.ar.At(currH).next)
+				currH = l.LoadLink(tx, tid, currH, &ar.At(currH).next)
 				steps++
 			}
 
@@ -122,144 +69,24 @@ func (l *List) applyAt(tid int, key uint64, head arena.Handle, reserveFound bool
 			case !currH.IsNil() && k == key:
 				res = onFound(tx, prevH, currH)
 				if reserveFound {
-					l.windowHold(tx, tid, held, startH, currH)
+					l.Hold(tx, tid, held, currH, 0)
 					target = currH
 				} else {
-					l.windowTerminal(tx, tid, held, startH)
+					l.Terminal(tx, tid, held)
 				}
 				done = true
 			case currH.IsNil() || k > key:
 				res = onNotFound(tx, prevH, currH)
-				l.windowTerminal(tx, tid, held, startH)
+				l.Terminal(tx, tid, held)
 				done = true
 			default:
 				// Budget exhausted mid-traversal: hand over to the next
 				// window at currH.
-				l.windowHold(tx, tid, held, startH, currH)
+				l.Hold(tx, tid, held, currH, 0)
 			}
 		})
 		if done {
 			return res, target
 		}
-	}
-}
-
-// windowStart resolves where this window begins and whether the thread is
-// resuming with a live hold on that position.
-func (l *List) windowStart(tx *stm.Tx, tid int, head arena.Handle) (arena.Handle, bool) {
-	switch l.mode {
-	case ModeRR:
-		if r := l.rr.Get(tx, tid); r != 0 {
-			return arena.Handle(r), true
-		}
-		// Nil, released, revoked, or (relaxed) spuriously lost: restart
-		// from the head.
-		return head, false
-	case ModeTMHP:
-		s := l.threads[tid].start
-		if s.IsNil() {
-			return head, false
-		}
-		if l.loadWord(tx, tid, s, &l.ar.At(s).dead) != 0 {
-			// The start was removed since our last window; its memory is
-			// still pinned by our hazard, so the flag is trustworthy.
-			return head, false
-		}
-		return s, true
-	case ModeTMHE:
-		s := l.threads[tid].start
-		if s.IsNil() {
-			return head, false
-		}
-		if l.loadWord(tx, tid, s, &l.ar.At(s).dead) != 0 {
-			// Removed since our last window; pinned by our era reservation,
-			// so the flag is trustworthy (same argument as TMHP).
-			return head, false
-		}
-		return s, true
-	case ModeTMVBR:
-		s := l.threads[tid].start
-		if s.IsNil() || !l.ar.Live(s) {
-			// Nothing pins the start between windows: it may have been
-			// freed and its slot recycled. A generation mismatch means a
-			// different incarnation lives there now — restart.
-			return head, false
-		}
-		if l.loadWord(tx, tid, s, &l.ar.At(s).dead) != 0 {
-			return head, false
-		}
-		if !l.ar.Live(s) {
-			// Freed (and possibly recycled) between the liveness check and
-			// the dead load: the value we read may belong to the new
-			// incarnation, so it proves nothing about the node we held.
-			return head, false
-		}
-		return s, true
-	case ModeREF:
-		s := l.threads[tid].start
-		if s.IsNil() {
-			return head, false
-		}
-		if l.loadWord(tx, tid, s, &l.ar.At(s).dead) != 0 {
-			// Give back our count on the removed node and restart.
-			l.refDecrement(tx, tid, s)
-			return head, false
-		}
-		return s, true
-	default: // ModeHTM
-		return head, false
-	}
-}
-
-// windowHold attaches the thread's linking mechanism to currH (releasing
-// the previous hold) so the next transaction may resume there.
-func (l *List) windowHold(tx *stm.Tx, tid int, held bool, startH, currH arena.Handle) {
-	ts := &l.threads[tid]
-	switch l.mode {
-	case ModeRR:
-		if held {
-			l.rr.Release(tx, tid)
-		}
-		l.rr.Reserve(tx, tid, uint64(currH))
-	case ModeTMHP:
-		slot := ts.parity & 1
-		l.hp.Protect(tid, slot, currH)
-		// Ordering re-check; see the protocol note atop this file.
-		_ = l.loadWord(tx, tid, currH, &l.ar.At(currH).dead)
-		tx.OnCommitCall(l.holdHook, uint64(int64(tid)), uint64(currH), uint64(slot))
-	case ModeTMHE:
-		slot := ts.parity & 1
-		l.he.Protect(tid, slot, currH)
-		// Ordering re-check; see the protocol note atop this file.
-		_ = l.loadWord(tx, tid, currH, &l.ar.At(currH).dead)
-		tx.OnCommitCall(l.holdHook, uint64(int64(tid)), uint64(currH), uint64(slot))
-	case ModeTMVBR:
-		// No reservation to publish; windowStart revalidates on resume.
-		tx.OnCommitCall(l.holdHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeREF:
-		n := l.ar.At(currH)
-		n.rc.Store(tx, l.loadWord(tx, tid, currH, &n.rc)+1)
-		if held {
-			l.refDecrement(tx, tid, startH)
-		}
-		tx.OnCommitCall(l.holdHook, uint64(int64(tid)), uint64(currH), 0)
-	default: // ModeHTM: unbounded windows never cut or hold
-	}
-}
-
-// windowTerminal releases the thread's hold (if any) at operation end.
-func (l *List) windowTerminal(tx *stm.Tx, tid int, held bool, startH arena.Handle) {
-	switch l.mode {
-	case ModeRR:
-		if held {
-			l.rr.Release(tx, tid)
-		}
-	case ModeTMHP, ModeTMHE, ModeTMVBR:
-		tx.OnCommitCall(l.termHook, uint64(int64(tid)), 0, 0)
-	case ModeREF:
-		if held {
-			l.refDecrement(tx, tid, startH)
-		}
-		tx.OnCommitCall(l.termHook, uint64(int64(tid)), 0, 0)
 	}
 }

@@ -1,6 +1,7 @@
 package list
 
 import (
+	"hohtx/internal/link"
 	"sync"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // epochs until every thread active at retirement has quiesced.
 
 func newER(threads, w int) *List {
-	return New(Config{Mode: ModeER, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 4})
+	return New(link.Config{Mode: link.ModeER, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 4})
 }
 
 func TestERDefersReclamation(t *testing.T) {
@@ -48,8 +49,8 @@ func TestERDefersReclamation(t *testing.T) {
 func TestERSmallReadFootprint(t *testing.T) {
 	const n = 300
 	prof := profileWithCapacity(64)
-	er := New(Config{Mode: ModeER, Threads: 1, Window: core.Window{W: 4}, Profile: prof, ScanThreshold: 8})
-	htm := New(Config{Mode: ModeHTM, Threads: 1, Profile: prof})
+	er := New(link.Config{Mode: link.ModeER, Threads: 1, Window: core.Window{W: 4}, Profile: prof, ScanThreshold: 8})
+	htm := New(link.Config{Mode: link.ModeHTM, Threads: 1, Profile: prof})
 	for _, l := range []*List{er, htm} {
 		l.Register(0)
 		for k := uint64(1); k <= n; k++ {

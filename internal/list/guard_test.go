@@ -1,6 +1,7 @@
 package list
 
 import (
+	"hohtx/internal/link"
 	"testing"
 
 	"hohtx/internal/arena"
@@ -13,16 +14,16 @@ import (
 // sanitizer exists to catch.
 func guardHarness(t *testing.T, sink func(arena.GuardEvent)) (*List, arena.Handle) {
 	t.Helper()
-	l := New(Config{Mode: ModeHTM, Threads: 2, Guard: true, GuardSink: sink})
+	l := New(link.Config{Mode: link.ModeHTM, Threads: 2, Guard: true, GuardSink: sink})
 	l.Register(0)
 	for _, k := range []uint64{1, 2, 3} {
 		if !l.Insert(0, k) {
 			t.Fatalf("setup insert %d failed", k)
 		}
 	}
-	h1 := arena.Handle(l.ar.At(l.head).next.Raw())
-	h2 := arena.Handle(l.ar.At(h1).next.Raw())
-	l.ar.Free(0, h2) // deliberate use-after-free setup: node 2 is still linked
+	h1 := arena.Handle(l.Arena.At(l.head).next.Raw())
+	h2 := arena.Handle(l.Arena.At(h1).next.Raw())
+	l.Arena.Free(0, h2) // deliberate use-after-free setup: node 2 is still linked
 	return l, h2
 }
 
@@ -60,11 +61,11 @@ func TestGuardBenignDoomedReaderNotCounted(t *testing.T) {
 	})
 
 	attempt := 0
-	l.rt.Atomic(func(tx *stm.Tx) {
+	l.RT.Atomic(func(tx *stm.Tx) {
 		attempt++
 		if attempt == 1 {
-			_ = l.loadWord(tx, 0, h2, &l.ar.At(h2).key) // doomed read
-			tx.Restart()                                // ...that never commits
+			_ = l.LoadWord(tx, 0, h2, &l.Arena.At(h2).key) // doomed read
+			tx.Restart()                                   // ...that never commits
 		}
 	})
 	gs := l.GuardStats()
@@ -82,10 +83,10 @@ func TestGuardBenignDoomedReaderNotCounted(t *testing.T) {
 func TestGuardPoisonedLinkDefusesToNil(t *testing.T) {
 	l, h2 := guardHarness(t, func(arena.GuardEvent) {})
 	attempt := 0
-	l.rt.Atomic(func(tx *stm.Tx) {
+	l.RT.Atomic(func(tx *stm.Tx) {
 		attempt++
 		if attempt == 1 {
-			if h := l.loadLink(tx, 0, h2, &l.ar.At(h2).next); !h.IsNil() {
+			if h := l.LoadLink(tx, 0, h2, &l.Arena.At(h2).next); !h.IsNil() {
 				t.Errorf("poisoned link loaded as %v, want Nil", h)
 			}
 			tx.Restart()

@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"hohtx/internal/arena"
-	"hohtx/internal/reclaim"
+	"hohtx/internal/link"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -22,8 +22,10 @@ import (
 // Compared to the plain list, traversals are short (load factor) and
 // conflicts only arise within a bucket; the reservation mechanism is
 // exercised exactly as in the list (window cuts near the end of long
-// buckets, revocation on remove, immediate reclamation).
+// buckets, revocation on remove, immediate reclamation). LiveNodes counts
+// one sentinel per bucket.
 type HashTable struct {
+	*link.Base[node]
 	l     *List
 	heads []arena.Handle
 	mask  uint64
@@ -35,7 +37,7 @@ var _ sets.MemoryReporter = (*HashTable)(nil)
 // NewHashTable constructs a hash set with the given bucket count (rounded
 // up to a power of two). All Config fields mean what they do for New; REF
 // and ER modes are supported too, since buckets are ordinary chains.
-func NewHashTable(cfg Config, buckets int) *HashTable {
+func NewHashTable(cfg link.Config, buckets int) *HashTable {
 	if buckets < 1 {
 		buckets = 1
 	}
@@ -43,22 +45,13 @@ func NewHashTable(cfg Config, buckets int) *HashTable {
 	for b < buckets {
 		b <<= 1
 	}
-	l := New(cfg)
+	l := newList(cfg, "hash")
 	heads := make([]arena.Handle, b)
 	heads[0] = l.head
 	for i := 1; i < b; i++ {
-		// Bucket sentinels are construction-time only (never shared
-		// before return), so non-transactional Init is safe.
-		h := l.ar.Alloc(0)
-		n := l.ar.At(h)
-		n.key.Init(0)
-		n.next.Init(0)
-		n.prev.Init(0)
-		n.dead.Init(0)
-		n.rc.Init(0)
-		heads[i] = h
+		heads[i] = l.sentinel()
 	}
-	return &HashTable{l: l, heads: heads, mask: uint64(b - 1)}
+	return &HashTable{Base: l.Base, l: l, heads: heads, mask: uint64(b - 1)}
 }
 
 // bucketIndex returns the bucket number for a key.
@@ -81,13 +74,7 @@ func (h *HashTable) bucket(key uint64) arena.Handle {
 func (h *HashTable) Buckets() int { return len(h.heads) }
 
 // Name implements sets.Set.
-func (h *HashTable) Name() string { return h.l.Name() + "/hash" }
-
-// Register implements sets.Set.
-func (h *HashTable) Register(tid int) { h.l.Register(tid) }
-
-// Finish implements sets.Set.
-func (h *HashTable) Finish(tid int) { h.l.Finish(tid) }
+func (h *HashTable) Name() string { return h.Base.Name() + "/hash" }
 
 // Lookup implements sets.Set.
 func (h *HashTable) Lookup(tid int, key uint64) bool {
@@ -103,8 +90,7 @@ func (h *HashTable) Insert(tid int, key uint64) bool {
 	res, _ := h.l.applyAt(tid, key, h.bucket(key), false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			nh := h.l.allocNode(tx, tid, key, currH, arena.Nil)
-			h.l.ar.At(prevH).next.Store(tx, uint64(nh))
+			h.l.insertSingly(tx, tid, key, prevH, currH)
 			return true
 		},
 	)
@@ -129,8 +115,8 @@ func (h *HashTable) Remove(tid int, key uint64) bool {
 func (h *HashTable) Snapshot() []uint64 {
 	var out []uint64
 	for _, head := range h.heads {
-		for n := arena.Handle(h.l.ar.At(head).next.Raw()); !n.IsNil(); {
-			nd := h.l.ar.At(n)
+		for n := arena.Handle(h.Arena.At(head).next.Raw()); !n.IsNil(); {
+			nd := h.Arena.At(n)
 			out = append(out, nd.key.Raw())
 			n = arena.Handle(nd.next.Raw())
 		}
@@ -139,38 +125,14 @@ func (h *HashTable) Snapshot() []uint64 {
 	return out
 }
 
-// LiveNodes implements sets.MemoryReporter (includes one sentinel per
-// bucket).
-func (h *HashTable) LiveNodes() uint64 { return h.l.LiveNodes() }
-
-// DeferredNodes implements sets.MemoryReporter.
-func (h *HashTable) DeferredNodes() uint64 { return h.l.DeferredNodes() }
-
-// TxCommits, TxAborts, TxSerial and PeakDeferred delegate to the shared
-// runtime for benchmark statistics.
-func (h *HashTable) TxCommits() uint64    { return h.l.TxCommits() }
-func (h *HashTable) TxAborts() uint64     { return h.l.TxAborts() }
-func (h *HashTable) TxSerial() uint64     { return h.l.TxSerial() }
-func (h *HashTable) TMStats() stm.Stats   { return h.l.TMStats() }
-func (h *HashTable) PeakDeferred() uint64 { return h.l.PeakDeferred() }
-
-// GuardStats exposes the arena sanitizer counters (zero when guard is off).
-func (h *HashTable) GuardStats() arena.GuardStats { return h.l.GuardStats() }
-
-// ReclaimStats exposes the deferred-reclamation counters (ModeTMHP).
-func (h *HashTable) ReclaimStats() reclaim.Stats { return h.l.ReclaimStats() }
-
-// SetWindow implements the runtime window knob.
-func (h *HashTable) SetWindow(w int) { h.l.SetWindow(w) }
-
 // BucketSizes returns each bucket's current length (diagnostics and tests;
 // quiescence required).
 func (h *HashTable) BucketSizes() []int {
 	out := make([]int, len(h.heads))
 	for i, head := range h.heads {
-		for n := arena.Handle(h.l.ar.At(head).next.Raw()); !n.IsNil(); {
+		for n := arena.Handle(h.Arena.At(head).next.Raw()); !n.IsNil(); {
 			out[i]++
-			n = arena.Handle(h.l.ar.At(n).next.Raw())
+			n = arena.Handle(h.Arena.At(n).next.Raw())
 		}
 	}
 	return out

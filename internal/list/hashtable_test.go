@@ -1,6 +1,7 @@
 package list
 
 import (
+	"hohtx/internal/link"
 	"math/rand"
 	"testing"
 
@@ -11,15 +12,15 @@ import (
 func hashVariants(threads int) []*HashTable {
 	var out []*HashTable
 	for _, k := range core.Kinds() {
-		out = append(out, NewHashTable(Config{
-			Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4},
+		out = append(out, NewHashTable(link.Config{
+			Mode: link.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4},
 		}, 16))
 	}
 	out = append(out,
-		NewHashTable(Config{Mode: ModeHTM, Threads: threads}, 16),
-		NewHashTable(Config{Mode: ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
-		NewHashTable(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
-		NewHashTable(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
+		NewHashTable(link.Config{Mode: link.ModeHTM, Threads: threads}, 16),
+		NewHashTable(link.Config{Mode: link.ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
+		NewHashTable(link.Config{Mode: link.ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
+		NewHashTable(link.Config{Mode: link.ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}, 16),
 	)
 	return out
 }
@@ -62,7 +63,7 @@ func TestHashTableSequential(t *testing.T) {
 }
 
 func TestHashTableBucketing(t *testing.T) {
-	h := NewHashTable(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 1}, 9)
+	h := NewHashTable(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 1}, 9)
 	if h.Buckets() != 16 {
 		t.Fatalf("buckets = %d, want 16 (rounded up)", h.Buckets())
 	}
@@ -87,7 +88,7 @@ func TestHashTableBucketing(t *testing.T) {
 }
 
 func TestHashTablePreciseReclamation(t *testing.T) {
-	h := NewHashTable(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 2}}, 8)
+	h := NewHashTable(link.Config{Mode: link.ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 2}}, 8)
 	h.Register(0)
 	base := h.LiveNodes() // 8 sentinels
 	if base != 8 {

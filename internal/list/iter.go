@@ -2,6 +2,7 @@ package list
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/link"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -37,49 +38,37 @@ import (
 // leaked hold would make the holder's next operation resume from a stale
 // position and skip smaller keys).
 func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
-	if l.mode != ModeRR && l.mode != ModeHTM {
+	if !l.CanAscend() {
 		return sets.ErrScanUnsupported
 	}
-	l.threads[tid].ops++
+	l.Begin(tid, 1)
 	last := from // next key to deliver must be >= last
 	var batch []uint64
-	holding := false // a reservation survives outside the current window
+	holding := false // a hold survives outside the current window
 	windows, renavs := 0, 0
 	defer func() {
 		if holding {
-			l.dropHoldOutsideWindow(tid)
+			l.DropHold(tid)
 		}
-		if l.scanWindows != nil {
-			l.scanWindows.Record(uint64(windows))
-			l.scanRenavs.Record(uint64(renavs))
-		}
+		l.NoteScan(windows, renavs)
 	}()
 	for {
 		done := false
 		resumed := false
 		batch = batch[:0]
-		l.rt.AtomicT(tid, func(tx *stm.Tx) {
+		l.RT.AtomicT(tid, func(tx *stm.Tx) {
 			done = false
 			batch = batch[:0]
-			win := l.window()
-			startH, held := l.windowStart(tx, tid, l.head)
+			startH, held := l.Start(tx, tid, l.head)
 			resumed = held
-			var budget int
-			if held {
-				budget = win.Next()
-			} else {
-				budget = win.First(tx)
-			}
-			if l.mode == ModeHTM {
-				budget = int(^uint(0) >> 1)
-			}
+			budget := l.Budget(tx, held)
 			// Navigate to the first key >= last (no-op when resuming at a
 			// reserved node, whose key is < last by construction).
 			prevH := startH
-			currH := arena.Handle(l.ar.At(prevH).next.Load(tx))
+			currH := arena.Handle(l.Arena.At(prevH).next.Load(tx))
 			steps := 0
 			for !currH.IsNil() {
-				n := l.ar.At(currH)
+				n := l.Arena.At(currH)
 				k := n.key.Load(tx)
 				if k >= last {
 					batch = append(batch, k)
@@ -97,12 +86,12 @@ func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
 			}
 			if currH.IsNil() {
 				// Reached the end: this window completes the scan.
-				l.windowTerminal(tx, tid, held, startH)
+				l.Terminal(tx, tid, held)
 				done = true
 				return
 			}
 			// Hand over at prevH (the node holding the last batched key).
-			l.windowHold(tx, tid, held, startH, prevH)
+			l.Hold(tx, tid, held, prevH, 0)
 		})
 		windows++
 		if windows > 1 && !resumed {
@@ -126,16 +115,4 @@ func (l *List) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
 
 // CanAscend reports whether this list's mode supports the reservation
 // cursor (the serve layer advertises scan capability through it).
-func (l *List) CanAscend() bool { return l.mode == ModeRR || l.mode == ModeHTM }
-
-// dropHoldOutsideWindow releases the iterator's reservation from outside
-// any window transaction (early consumer termination or a consumer
-// panic).
-func (l *List) dropHoldOutsideWindow(tid int) {
-	if l.mode != ModeRR {
-		return
-	}
-	l.rt.AtomicT(tid, func(tx *stm.Tx) {
-		l.rr.Release(tx, tid)
-	})
-}
+func (l *List) CanAscend() bool { return l.Mode == link.ModeRR || l.Mode == link.ModeHTM }

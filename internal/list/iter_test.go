@@ -2,6 +2,7 @@ package list
 
 import (
 	"errors"
+	"hohtx/internal/link"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func TestAscendSequential(t *testing.T) {
 	for _, k := range core.Kinds() {
-		l := New(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
+		l := New(link.Config{Mode: link.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
 		t.Run(l.Name(), func(t *testing.T) {
 			l.Register(0)
 			for key := uint64(2); key <= 40; key += 2 {
@@ -59,7 +60,7 @@ func TestAscendSequential(t *testing.T) {
 }
 
 func TestAscendHTMMode(t *testing.T) {
-	l := New(Config{Mode: ModeHTM, Threads: 1})
+	l := New(link.Config{Mode: link.ModeHTM, Threads: 1})
 	l.Register(0)
 	for key := uint64(1); key <= 10; key++ {
 		l.Insert(0, key)
@@ -76,8 +77,8 @@ func TestAscendHTMMode(t *testing.T) {
 // (they used to panic, which an ASCEND wire request could trigger
 // remotely) and never call fn.
 func TestAscendUnsupportedModes(t *testing.T) {
-	for _, mode := range []Mode{ModeTMHP, ModeTMHE, ModeTMVBR, ModeREF, ModeER} {
-		l := New(Config{Mode: mode, Threads: 1, Window: core.Window{W: 4}})
+	for _, mode := range []link.Mode{link.ModeTMHP, link.ModeTMHE, link.ModeTMVBR, link.ModeREF, link.ModeER} {
+		l := New(link.Config{Mode: mode, Threads: 1, Window: core.Window{W: 4}})
 		l.Register(0)
 		l.Insert(0, 1)
 		called := false
@@ -92,8 +93,8 @@ func TestAscendUnsupportedModes(t *testing.T) {
 			t.Errorf("mode %d: CanAscend = true", mode)
 		}
 	}
-	for _, mode := range []Mode{ModeRR, ModeHTM} {
-		l := New(Config{Mode: mode, Threads: 1})
+	for _, mode := range []link.Mode{link.ModeRR, link.ModeHTM} {
+		l := New(link.Config{Mode: mode, Threads: 1})
 		if !l.CanAscend() {
 			t.Errorf("mode %d: CanAscend = false", mode)
 		}
@@ -107,7 +108,7 @@ func TestAscendUnsupportedModes(t *testing.T) {
 // present key returned false — and the node stayed pinned in the
 // reservation table.
 func TestAscendPanicReleasesHold(t *testing.T) {
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	l := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}})
 	l.Register(0)
 	l.Register(1)
@@ -150,7 +151,7 @@ func TestAscendPanicReleasesHold(t *testing.T) {
 // the head by key, which the ascend_renavigations histogram counts.
 func TestAscendRenavigation(t *testing.T) {
 	dom := obs.NewDomain(obs.DomainConfig{Name: "iter-test", Threads: 2, SampleShift: 0})
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	l := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}, Obs: dom})
 	l.Register(0)
 	l.Register(1)
@@ -197,7 +198,7 @@ func TestAscendRenavigation(t *testing.T) {
 // reclamation putting their nodes back into circulation).
 func TestAscendConcurrent(t *testing.T) {
 	const stable = 50 // odd keys 1..99 stay put
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 2}})
+	l := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 2}})
 	l.Register(0)
 	for k := uint64(1); k <= 99; k += 2 {
 		l.Insert(0, k)

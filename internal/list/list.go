@@ -5,7 +5,8 @@
 // hand-over-hand with hazard-pointer deferred reclamation (TMHP), and
 // hand-over-hand with transactional reference counting (REF) — and the
 // post-2017 deferred comparators DESIGN.md §14 describes: hazard eras
-// (TMHE) and version-based reclamation (TMVBR).
+// (TMHE) and version-based reclamation (TMVBR). The window protocol and
+// every mechanism live in package link; this package is the traversal.
 //
 // All variants share one node layout and one arena, so differences in the
 // figures come from the synchronization/reclamation mechanism, not from
@@ -13,57 +14,11 @@
 package list
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"hohtx/internal/arena"
-	"hohtx/internal/core"
-	"hohtx/internal/obs"
+	"hohtx/internal/link"
 	"hohtx/internal/pad"
-	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
-)
-
-// Mode selects the synchronization/reclamation mechanism.
-type Mode uint8
-
-const (
-	// ModeRR is hand-over-hand transactions with revocable reservations
-	// and immediate (precise) reclamation — the paper's contribution.
-	ModeRR Mode = iota
-	// ModeHTM performs each whole operation in a single transaction with
-	// no reservations (the paper's "HTM" baseline).
-	ModeHTM
-	// ModeTMHP is hand-over-hand transactions with hazard pointers and
-	// batched deferred reclamation (the paper's "TMHP" baseline).
-	ModeTMHP
-	// ModeREF is hand-over-hand transactions with transactional
-	// reference counts on window boundary nodes (the paper's "REF"
-	// baseline; singly linked list only).
-	ModeREF
-	// ModeER runs each operation as one transaction that early-releases
-	// traversal reads more than W nodes behind the frontier (Herlihy et
-	// al. [17]; the paper's §1 discusses this as the STM-only alternative
-	// to hand-over-hand windows — it cannot run on real HTM, and it
-	// cannot reclaim precisely, so removals defer reclamation through
-	// epochs. Singly linked list only; provided as an extension
-	// comparator, not one of the paper's measured series.)
-	ModeER
-	// ModeTMHE is hand-over-hand transactions with hazard-era deferred
-	// reclamation (Ramalhete & Correia; DESIGN.md §14): the TMHP window
-	// protocol verbatim, but the published reservation is an era, not a
-	// pointer, so protection costs an epoch-style clock read while a
-	// stalled reader strands only the nodes whose lifetime interval it
-	// covers.
-	ModeTMHE
-	// ModeTMVBR is hand-over-hand transactions with version-based
-	// reclamation (Sheffi, Herlihy & Petrank; DESIGN.md §14): no
-	// reservations at all — retirees are freed once the STM's version
-	// fence advances past their retire stamp, and a resumed traversal
-	// revalidates its held node by arena generation + dead mark instead
-	// of pinning it.
-	ModeTMVBR
 )
 
 // node is the shared node layout. Every field is a transactional cell;
@@ -74,18 +29,15 @@ type node struct {
 	key  stm.Word
 	next stm.Word // arena.Handle bits; 0 = nil
 	prev stm.Word // doubly linked list only
-	dead stm.Word // TMHP/REF logical-deletion mark
+	dead stm.Word // deferred modes' and REF's logical-deletion mark
 	rc   stm.Word // REF reference count
 	_    pad.Line
 }
 
-// threadState is per-thread traversal state for the deferred-reclamation
-// modes plus the operation stamp used for reclamation-delay accounting.
+// threadState is the list's own per-thread scratch (the link state lives
+// in link.Base).
 type threadState struct {
-	start  arena.Handle // TMHP/TMHE/TMVBR/REF resume position (Nil = start from head)
-	parity int          // TMHP/TMHE hazard slot alternation
-	ops    uint64
-	marks  []uint64 // ModeER: read marks of the last W spine nodes
+	marks []uint64 // ModeER: read marks of the last W spine nodes
 
 	// Grow-only batch scratch (see applyBatch): the result and visit-order
 	// buffers are reused across this thread's batches, so steady-state
@@ -95,319 +47,52 @@ type threadState struct {
 	_          pad.Line
 }
 
-// Config parameterizes list construction.
-type Config struct {
-	// Mode selects the mechanism; default ModeRR.
-	Mode Mode
-	// RRKind selects the reservation implementation for ModeRR.
-	RRKind core.Kind
-	// Threads is the number of distinct tids that will operate on the
-	// list. Required.
-	Threads int
-	// Window is the hand-over-hand window policy. The paper's best
-	// settings are thread-count dependent (Figure 4); 8–16 are good
-	// defaults. Ignored (unbounded) for ModeHTM.
-	Window core.Window
-	// Profile overrides the TM speculation profile. The zero value means
-	// the paper's list setting: HTM simulation with serial fallback after
-	// 2 failed attempts.
-	Profile stm.Profile
-	// ArenaPolicy selects the allocator free-list policy (Figure 5).
-	ArenaPolicy arena.Policy
-	// ScanThreshold is the hazard-pointer batch size for ModeTMHP;
-	// default 64 (the paper's best-performing setting).
-	ScanThreshold int
-	// TableBits/Assoc size the reservation metadata (see core.Config).
-	TableBits int
-	Assoc     int
-	// YieldShift enables simulated preemption inside transactions (see
-	// stm.Profile.YieldShift); it composes with whatever Profile is in
-	// effect.
-	YieldShift uint8
-	// ClockPolicy selects the TM global-clock policy (see
-	// stm.Profile.ClockPolicy); like YieldShift it composes with whatever
-	// Profile is in effect.
-	ClockPolicy stm.ClockPolicy
-	// Guard enables the arena use-after-free sanitizer: freed nodes are
-	// poisoned and any *committed* read of a dead node is reported (see
-	// guard.go). Off by default; the enabled-mode overhead is one
-	// predictable branch per traversal load.
-	Guard bool
-	// GuardSink receives guard violations instead of the default panic
-	// (torture harnesses collect events; tests assert on them). Only
-	// meaningful with Guard set.
-	GuardSink func(arena.GuardEvent)
-	// Obs, when non-nil, threads the observability domain through every
-	// layer the list owns: commit/backoff latency and abort attribution on
-	// the TM runtime, free→reuse distances on the arena, hold times on the
-	// reservation, retire→free delays and a deferred-depth gauge on the
-	// deferred-reclamation scheme. Nil keeps every instrumented site at a
-	// single nil/branch check.
-	Obs *obs.Domain
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 8
-	}
-	if c.Profile == (stm.Profile{}) {
-		c.Profile = stm.HTMProfile(2)
-	}
-	if c.YieldShift != 0 {
-		c.Profile.YieldShift = c.YieldShift
-	}
-	if c.ClockPolicy != 0 {
-		c.Profile.ClockPolicy = c.ClockPolicy
-	}
-	if c.Window.W == 0 && c.Mode != ModeHTM {
-		c.Window.W = 8
-	}
-	if c.Mode == ModeHTM {
-		c.Window = core.Window{} // unbounded: one transaction per op
-	}
-	if c.ScanThreshold <= 0 {
-		c.ScanThreshold = reclaim.DefaultScanThreshold
-	}
-	return c
-}
-
 // List is the singly linked set (Listing 5).
 type List struct {
-	rt          *stm.Runtime
-	ar          *arena.Arena[node]
-	rr          core.Reservation // ModeRR only
-	hp          *reclaim.HazardPointers
-	ep          *reclaim.Epochs     // ModeER only
-	he          *reclaim.HazardEras // ModeTMHE only
-	vbr         *reclaim.VBR        // ModeTMVBR only
-	mode        Mode
-	win         core.Window
-	winOverride atomic.Int32
-	head        arena.Handle
-	threads     []threadState
-	guard       bool
-	obs         *obs.Domain
-	scanWindows *obs.Histogram // window txs per Ascend (nil without Obs)
-	scanRenavs  *obs.Histogram // re-navigations per Ascend (nil without Obs)
-
-	// Bound commit/abort hooks, created once here and registered on the
-	// hot paths via stm.OnCommitCall/OnAbortCall with inline arguments.
-	// A fresh closure per operation would heap-allocate on every
-	// insert/remove — allocator traffic the arena's exact books never
-	// see, and exactly the GC pressure the paper's Fig. 5 warns distorts
-	// reclamation comparisons. Argument encoding: a = tid (two's
-	// complement through uint64), b = arena handle, c = retire stamp or
-	// hazard parity slot.
-	freeHook   func(a, b, c uint64) // ar.Free(tid, handle)
-	retireHook func(a, b, c uint64) // mode's deferred retire(tid, handle, stamp)
-	holdHook   func(a, b, c uint64) // publish window hold: resume at handle b, parity slot c
-	termHook   func(a, b, c uint64) // drop window hold at operation end
+	*link.Base[node]
+	head    arena.Handle
+	threads []threadState
 }
 
 var _ sets.Set = (*List)(nil)
 var _ sets.MemoryReporter = (*List)(nil)
 
-// New constructs a singly linked list set.
-func New(cfg Config) *List {
-	cfg = cfg.withDefaults()
-	l := &List{
-		rt: stm.NewRuntime(cfg.Profile),
-		ar: arena.New[node](arena.Config{
-			Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
-			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
-		}),
-		mode:    cfg.Mode,
-		win:     cfg.Window,
-		threads: make([]threadState, cfg.Threads),
-		guard:   cfg.Guard,
-	}
-	l.ar.SetRetire(func(n *node) { retireNode(n, l.rt.VersionFence()) })
-	if cfg.Guard {
-		l.ar.SetPoison(poisonNode)
-	}
-	switch cfg.Mode {
-	case ModeRR:
-		l.rr = core.New(cfg.RRKind, core.Config{
-			Threads: cfg.Threads, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
-		})
-	case ModeTMHP:
-		l.hp = reclaim.NewHazardPointers(reclaim.HPConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { l.ar.Free(tid, h) },
-		})
-	case ModeER:
-		l.ep = reclaim.NewEpochs(cfg.Threads, cfg.ScanThreshold,
-			func(tid int, h arena.Handle) { l.ar.Free(tid, h) })
-		l.ep.Guard = cfg.Guard
+// New constructs a singly linked list set. The zero Config window means
+// W = 8, and the zero profile the paper's list setting: HTM simulation
+// with serial fallback after 2 failed attempts.
+func New(cfg link.Config) *List { return newList(cfg, "singly") }
+
+// newList builds a list whose mode is checked against family's support.
+func newList(cfg link.Config, family string) *List {
+	b := link.New(cfg, link.Layout[node]{
+		Family: family, Attempts: 2, Window: 8, Scans: true,
+		Dead:   func(n *node) *stm.Word { return &n.dead },
+		RC:     func(n *node) *stm.Word { return &n.rc },
+		Retire: retireNode,
+		Poison: poisonNode,
+	})
+	l := &List{Base: b, threads: make([]threadState, b.Threads())}
+	if b.Mode == link.ModeER {
 		for i := range l.threads {
-			l.threads[i].marks = make([]uint64, cfg.Window.W)
-		}
-	case ModeTMHE:
-		l.he = reclaim.NewHazardEras(reclaim.HEConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { l.ar.Free(tid, h) },
-		})
-	case ModeTMVBR:
-		l.vbr = reclaim.NewVBR(reclaim.VBRConfig{
-			Threads:   cfg.Threads,
-			TickEvery: cfg.ScanThreshold,
-			Clock:     l.rt.VersionFence,
-			Tick:      l.rt.TickVersionFence,
-			Free:      func(tid int, h arena.Handle) { l.ar.Free(tid, h) },
-		})
-	}
-	l.freeHook = func(a, b, _ uint64) { l.ar.Free(int(int64(a)), arena.Handle(b)) }
-	switch cfg.Mode {
-	case ModeTMHP:
-		l.retireHook = func(a, b, c uint64) { l.hp.Retire(int(int64(a)), arena.Handle(b), c) }
-		l.holdHook = func(a, b, c uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Handle(b)
-			l.hp.Protect(tid, int(c)^1, 0) // drop the previous window's hazard
-			l.threads[tid].parity++
-		}
-		l.termHook = func(a, _, _ uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Nil
-			l.hp.ClearSlots(tid)
-		}
-	case ModeTMHE:
-		l.retireHook = func(a, b, c uint64) { l.he.Retire(int(int64(a)), arena.Handle(b), c) }
-		l.holdHook = func(a, b, c uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Handle(b)
-			l.he.Protect(tid, int(c)^1, 0) // drop the previous window's reservation
-			l.threads[tid].parity++
-		}
-		l.termHook = func(a, _, _ uint64) {
-			tid := int(int64(a))
-			l.threads[tid].start = arena.Nil
-			l.he.ClearSlots(tid)
-		}
-	case ModeTMVBR:
-		l.retireHook = func(a, b, c uint64) { l.vbr.Retire(int(int64(a)), arena.Handle(b), c) }
-		l.holdHook = func(a, b, _ uint64) { l.threads[int(int64(a))].start = arena.Handle(b) }
-		l.termHook = func(a, _, _ uint64) { l.threads[int(int64(a))].start = arena.Nil }
-	case ModeER:
-		l.retireHook = func(a, b, c uint64) { l.ep.Retire(int(int64(a)), arena.Handle(b), c) }
-	case ModeREF:
-		l.holdHook = func(a, b, _ uint64) { l.threads[int(int64(a))].start = arena.Handle(b) }
-		l.termHook = func(a, _, _ uint64) { l.threads[int(int64(a))].start = arena.Nil }
-	}
-	if cfg.Obs != nil {
-		l.obs = cfg.Obs
-		l.scanWindows = cfg.Obs.Hist(obs.HistAscendWindows, "txs")
-		l.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
-		l.rt.SetObserver(cfg.Obs.TxProbe())
-		l.ar.SetObserver(cfg.Obs.AllocProbe())
-		if l.rr != nil {
-			l.rr = core.Observed(l.rr, cfg.Obs.HoldProbe(), cfg.Threads)
-		}
-		if l.hp != nil {
-			l.hp.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.hp.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.hp.Stats().PeakDeferred })
-		}
-		if l.ep != nil {
-			l.ep.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.ep.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.ep.Stats().PeakDeferred })
-		}
-		if l.he != nil {
-			l.he.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.he.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.he.Stats().PeakDeferred })
-		}
-		if l.vbr != nil {
-			l.vbr.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return l.vbr.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return l.vbr.Stats().PeakDeferred })
+			l.threads[i].marks = make([]uint64, b.Window().W)
 		}
 	}
-	// The head sentinel is allocated fresh (never shared before init), so
-	// non-transactional Init is safe here and only here.
-	l.head = l.ar.Alloc(0)
-	h := l.ar.At(l.head)
-	h.key.Init(0)
-	h.next.Init(0)
-	h.prev.Init(0)
-	h.dead.Init(0)
-	h.rc.Init(0)
+	l.head = l.sentinel()
 	return l
 }
 
-// Runtime exposes the list's TM runtime (statistics, ablation benches).
-func (l *List) Runtime() *stm.Runtime { return l.rt }
-
-// ObsDomain returns the observability domain wired at construction (nil
-// when Config.Obs was nil).
-func (l *List) ObsDomain() *obs.Domain { return l.obs }
-
-// SetWindow changes the hand-over-hand window size at runtime (0 restores
-// the configured value). The paper proposes contention-driven window
-// tuning as future work; this is the knob that enables it (see
-// examples/tuner). Safe to call concurrently with operations: in-flight
-// windows finish at their old size.
-func (l *List) SetWindow(w int) { l.winOverride.Store(int32(w)) }
-
-// window returns the effective window policy for a new transaction.
-func (l *List) window() core.Window {
-	win := l.win
-	if o := l.winOverride.Load(); o > 0 {
-		win.W = int(o)
-	}
-	return win
-}
-
-// Name implements sets.Set.
-func (l *List) Name() string {
-	switch l.mode {
-	case ModeRR:
-		return l.rr.Name()
-	case ModeHTM:
-		return "HTM"
-	case ModeTMHP:
-		return "TMHP"
-	case ModeREF:
-		return "REF"
-	case ModeER:
-		return "ER"
-	case ModeTMHE:
-		return "TMHE"
-	case ModeTMVBR:
-		return "TMVBR"
-	default:
-		return fmt.Sprintf("list-?%d", l.mode)
-	}
-}
-
-// Register implements sets.Set.
-func (l *List) Register(tid int) {
-	if l.rr != nil {
-		l.rr.Register(tid)
-	}
-}
-
-// Finish implements sets.Set: it flushes deferred reclamation.
-func (l *List) Finish(tid int) {
-	if l.hp != nil {
-		l.hp.ClearSlots(tid)
-		l.hp.Flush(tid, l.threads[tid].ops)
-	}
-	if l.ep != nil {
-		l.ep.Flush(tid, l.threads[tid].ops)
-	}
-	if l.he != nil {
-		l.he.ClearSlots(tid)
-		l.he.Flush(tid, l.threads[tid].ops)
-	}
-	if l.vbr != nil {
-		l.vbr.Flush(tid, l.threads[tid].ops)
-	}
+// sentinel allocates a chain root. Sentinels are allocated fresh (never
+// shared before the constructor returns), so non-transactional Init is
+// safe here and only here.
+func (l *List) sentinel() arena.Handle {
+	h := l.Arena.Alloc(0)
+	n := l.Arena.At(h)
+	n.key.Init(0)
+	n.next.Init(0)
+	n.prev.Init(0)
+	n.dead.Init(0)
+	n.rc.Init(0)
+	return h
 }
 
 // Lookup implements sets.Set.
@@ -424,8 +109,7 @@ func (l *List) Insert(tid int, key uint64) bool {
 	res, _ := l.apply(tid, key, false,
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool { return false },
 		func(tx *stm.Tx, prevH, currH arena.Handle) bool {
-			nh := l.allocNode(tx, tid, key, currH, arena.Nil)
-			l.ar.At(prevH).next.Store(tx, uint64(nh))
+			l.insertSingly(tx, tid, key, prevH, currH)
 			return true
 		},
 	)
@@ -444,19 +128,21 @@ func (l *List) Remove(tid int, key uint64) bool {
 	return res
 }
 
+// insertSingly links a new node holding key between prevH and its
+// successor currH (no back link) and returns it.
+func (l *List) insertSingly(tx *stm.Tx, tid int, key uint64, prevH, currH arena.Handle) arena.Handle {
+	nh := l.allocNode(tx, tid, key, currH, arena.Nil)
+	l.Arena.At(prevH).next.Store(tx, uint64(nh))
+	return nh
+}
+
 // allocNode allocates and transactionally initializes a node holding key
 // with successor nextH and (for the doubly linked list) predecessor prevH,
 // returning its handle. If the transaction aborts the node is returned to
 // the arena.
 func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Handle) arena.Handle {
-	nh := l.ar.Alloc(tid)
-	if l.he != nil {
-		// Birth-era stamp, before the node is published (an aborted alloc
-		// leaves a stale entry; the slot's next incarnation restamps it).
-		l.he.StampAlloc(nh)
-	}
-	tx.OnAbortCall(l.freeHook, uint64(int64(tid)), uint64(nh), 0)
-	n := l.ar.At(nh)
+	nh := l.Alloc(tx, tid)
+	n := l.Arena.At(nh)
 	// Transactional stores: the slot may be recycled, and some doomed
 	// reader may still hold a stale handle to it (see package arena).
 	n.key.Store(tx, key)
@@ -472,119 +158,24 @@ func (l *List) allocNode(tx *stm.Tx, tid int, key uint64, nextH, prevH arena.Han
 // Listing 5's λfound for Remove: unlink, Revoke, then free at the commit
 // point — precise reclamation.
 func (l *List) unlinkAndReclaim(tx *stm.Tx, tid int, prevH, currH arena.Handle) {
-	curr := l.ar.At(currH)
-	l.ar.At(prevH).next.Store(tx, uint64(l.loadLink(tx, tid, currH, &curr.next)))
-	switch l.mode {
-	case ModeRR:
-		l.rr.Revoke(tx, uint64(currH))
-		tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeHTM:
-		// No reservations exist; no transaction ever resumes at a node.
-		tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(currH), 0)
-	case ModeTMHP, ModeTMHE, ModeTMVBR:
-		curr.dead.Store(tx, 1)
-		tx.OnCommitCall(l.retireHook, uint64(int64(tid)), uint64(currH), l.threads[tid].ops)
-	case ModeREF:
-		curr.dead.Store(tx, 1)
-		if l.loadWord(tx, tid, currH, &curr.rc) == 0 {
-			tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(currH), 0)
-		}
-		// Otherwise the last window-holder's decrement frees it.
-	case ModeER:
+	curr := l.Arena.At(currH)
+	l.Arena.At(prevH).next.Store(tx, uint64(l.LoadLink(tx, tid, currH, &curr.next)))
+	if l.Mode == link.ModeER {
 		// Re-store the removed node's next (same value: a version bump
 		// only). Writers that traversed through currH retain its next in
 		// their (un-released) read suffix, so this write is what makes a
 		// racing insert-after-currH or remove-of-successor abort even
 		// though the writes to our predecessor were early-released.
-		curr.next.Store(tx, uint64(l.loadLink(tx, tid, currH, &curr.next)))
-		curr.dead.Store(tx, 1)
-		tx.OnCommitCall(l.retireHook, uint64(int64(tid)), uint64(currH), l.threads[tid].ops)
+		curr.next.Store(tx, uint64(l.LoadLink(tx, tid, currH, &curr.next)))
 	}
-}
-
-// refDecrement drops one reference count from h, freeing it at commit if
-// it reaches zero on a logically deleted node (ModeREF).
-func (l *List) refDecrement(tx *stm.Tx, tid int, h arena.Handle) {
-	n := l.ar.At(h)
-	v := l.loadWord(tx, tid, h, &n.rc) - 1
-	n.rc.Store(tx, v)
-	if v == 0 && l.loadWord(tx, tid, h, &n.dead) != 0 {
-		tx.OnCommitCall(l.freeHook, uint64(int64(tid)), uint64(h), 0)
-	}
-}
-
-// LiveNodes implements sets.MemoryReporter (includes the head sentinel).
-func (l *List) LiveNodes() uint64 { return l.ar.Stats().Live }
-
-// deferredScheme returns the list's deferred-reclamation scheme, nil for
-// the precise modes.
-func (l *List) deferredScheme() reclaim.Scheme {
-	switch {
-	case l.hp != nil:
-		return l.hp
-	case l.ep != nil:
-		return l.ep
-	case l.he != nil:
-		return l.he
-	case l.vbr != nil:
-		return l.vbr
-	}
-	return nil
-}
-
-// DeferredNodes implements sets.MemoryReporter.
-func (l *List) DeferredNodes() uint64 {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats().Deferred
-	}
-	return 0
-}
-
-// ReclaimStats exposes the deferred-reclamation counters (TMHP's hazard
-// pointers, ER's epochs, TMHE's hazard eras, TMVBR's version clock; zero
-// for the precise modes).
-func (l *List) ReclaimStats() reclaim.Stats {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats()
-	}
-	return reclaim.Stats{}
-}
-
-// TxCommits reports committed transactions (benchmark statistics).
-func (l *List) TxCommits() uint64 { return l.rt.Stats().Commits }
-
-// TxAborts reports aborted transaction attempts.
-func (l *List) TxAborts() uint64 { return l.rt.Stats().TotalAborts() }
-
-// TxSerial reports serial-mode commits (HTM-fallback events).
-func (l *List) TxSerial() uint64 { return l.rt.Stats().SerialCommits }
-
-// TMStats returns the full TM statistics snapshot (per-cause aborts,
-// clock and commit-lock counters).
-func (l *List) TMStats() stm.Stats { return l.rt.Stats() }
-
-// PeakDeferred reports the reclamation scheme's deferred high-water mark.
-func (l *List) PeakDeferred() uint64 {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats().PeakDeferred
-	}
-	return 0
-}
-
-// AvgReclaimDelayOps reports the mean operations between logical deletion
-// and physical free (0 for the precise modes).
-func (l *List) AvgReclaimDelayOps() float64 {
-	if s := l.deferredScheme(); s != nil {
-		return s.Stats().AvgDelayOps()
-	}
-	return 0
+	l.Reclaim(tx, tid, currH)
 }
 
 // Snapshot implements sets.Set. Callers must ensure quiescence.
 func (l *List) Snapshot() []uint64 {
 	var out []uint64
-	for h := arena.Handle(l.ar.At(l.head).next.Raw()); !h.IsNil(); {
-		n := l.ar.At(h)
+	for h := arena.Handle(l.Arena.At(l.head).next.Raw()); !h.IsNil(); {
+		n := l.Arena.At(h)
 		out = append(out, n.key.Raw())
 		h = arena.Handle(n.next.Raw())
 	}

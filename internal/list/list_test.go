@@ -1,6 +1,7 @@
 package list
 
 import (
+	"hohtx/internal/link"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -16,15 +17,15 @@ import (
 func variants(threads int, w int) []*List {
 	var out []*List
 	for _, k := range core.Kinds() {
-		out = append(out, New(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
+		out = append(out, New(link.Config{Mode: link.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
 	}
 	out = append(out,
-		New(Config{Mode: ModeHTM, Threads: threads}),
-		New(Config{Mode: ModeTMHP, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		New(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		New(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		New(Config{Mode: ModeREF, Threads: threads, Window: core.Window{W: w}}),
-		New(Config{Mode: ModeER, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(link.Config{Mode: link.ModeHTM, Threads: threads}),
+		New(link.Config{Mode: link.ModeTMHP, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(link.Config{Mode: link.ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(link.Config{Mode: link.ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(link.Config{Mode: link.ModeREF, Threads: threads, Window: core.Window{W: w}}),
+		New(link.Config{Mode: link.ModeER, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 	)
 	return out
 }
@@ -106,7 +107,7 @@ func TestSequentialVsModel(t *testing.T) {
 // live-node accounting exactly tracks the set size (plus the sentinel).
 func TestPreciseReclamation(t *testing.T) {
 	for _, k := range core.Kinds() {
-		l := New(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 4}})
+		l := New(link.Config{Mode: link.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 4}})
 		t.Run(l.Name(), func(t *testing.T) {
 			l.Register(0)
 			for key := uint64(1); key <= 100; key++ {
@@ -131,7 +132,7 @@ func TestPreciseReclamation(t *testing.T) {
 // TestTMHPDefersReclamation checks the contrast case: hazard-pointer
 // reclamation leaves retired nodes unfreed until a scan.
 func TestTMHPDefersReclamation(t *testing.T) {
-	l := New(Config{Mode: ModeTMHP, Threads: 1, Window: core.Window{W: 4}, ScanThreshold: 1000})
+	l := New(link.Config{Mode: link.ModeTMHP, Threads: 1, Window: core.Window{W: 4}, ScanThreshold: 1000})
 	l.Register(0)
 	for key := uint64(1); key <= 50; key++ {
 		l.Insert(0, key)
@@ -161,7 +162,7 @@ func TestTMHPDefersReclamation(t *testing.T) {
 // still computes the correct answer.
 func TestFigure1Scenario(t *testing.T) {
 	for _, k := range core.Kinds() {
-		l := New(Config{Mode: ModeRR, RRKind: k, Threads: 5, Window: core.Window{W: 4}})
+		l := New(link.Config{Mode: link.ModeRR, RRKind: k, Threads: 5, Window: core.Window{W: 4}})
 		t.Run(l.Name(), func(t *testing.T) {
 			for tid := 0; tid < 5; tid++ {
 				l.Register(tid)
@@ -171,8 +172,8 @@ func TestFigure1Scenario(t *testing.T) {
 			}
 			// Locate the node holding 30.
 			var h30 arena.Handle
-			for h := arena.Handle(l.ar.At(l.head).next.Raw()); !h.IsNil(); h = arena.Handle(l.ar.At(h).next.Raw()) {
-				if l.ar.At(h).key.Raw() == 30 {
+			for h := arena.Handle(l.Arena.At(l.head).next.Raw()); !h.IsNil(); h = arena.Handle(l.Arena.At(h).next.Raw()) {
+				if l.Arena.At(h).key.Raw() == 30 {
 					h30 = h
 					break
 				}
@@ -181,17 +182,20 @@ func TestFigure1Scenario(t *testing.T) {
 				t.Fatal("node 30 not found")
 			}
 			// T2's first window ends reserving node 30 (as in the figure).
-			l.rt.Atomic(func(tx *stm.Tx) { l.rr.Reserve(tx, 2, uint64(h30)) })
+			l.RT.Atomic(func(tx *stm.Tx) { l.Hold(tx, 2, false, h30, 0) })
 			// T4 removes 30: revokes all reservations of it and frees it
 			// before Remove returns.
 			if !l.Remove(4, 30) {
 				t.Fatal("Remove(30) failed")
 			}
-			if l.ar.Live(h30) {
+			if l.Arena.Live(h30) {
 				t.Fatal("node 30 still allocated after Remove returned (not precise)")
 			}
 			// T2's next transaction must see its reservation revoked …
-			got := stm.Run(l.rt, func(tx *stm.Tx) uint64 { return l.rr.Get(tx, 2) })
+			got := stm.Run(l.RT, func(tx *stm.Tx) uint64 {
+				h, _ := l.Start(tx, 2, arena.Nil)
+				return uint64(h)
+			})
 			if got != 0 {
 				t.Fatalf("T2's reservation survived the revoke: %d", got)
 			}
@@ -268,15 +272,15 @@ func TestConcurrentStressSingly(t *testing.T) {
 
 func TestConcurrentStressWindowOne(t *testing.T) {
 	// W=1 maximizes window cuts and reservation traffic.
-	l := New(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 4, Window: core.Window{W: 1}})
+	l := New(link.Config{Mode: link.ModeRR, RRKind: core.KindXO, Threads: 4, Window: core.Window{W: 1}})
 	runStress(t, l, 4, 800, 32, l)
 }
 
 func TestConcurrentStressTinyCapacity(t *testing.T) {
 	// A tiny HTM capacity forces frequent serial fallbacks; correctness
 	// must be unaffected.
-	l := New(Config{
-		Mode: ModeRR, RRKind: core.KindV, Threads: 4,
+	l := New(link.Config{
+		Mode: link.ModeRR, RRKind: core.KindV, Threads: 4,
 		Window:  core.Window{W: 8},
 		Profile: stm.Profile{Capacity: 24, MaxAttempts: 2},
 	})
@@ -287,8 +291,8 @@ func TestConcurrentStressTinyCapacity(t *testing.T) {
 }
 
 func TestDoublySequential(t *testing.T) {
-	for _, mode := range []Mode{ModeRR, ModeHTM, ModeTMHP, ModeTMHE, ModeTMVBR} {
-		cfg := Config{Mode: mode, RRKind: core.KindFA, Threads: 1, Window: core.Window{W: 3}}
+	for _, mode := range []link.Mode{link.ModeRR, link.ModeHTM, link.ModeTMHP, link.ModeTMHE, link.ModeTMVBR} {
+		cfg := link.Config{Mode: mode, RRKind: core.KindFA, Threads: 1, Window: core.Window{W: 3}}
 		d := NewDoubly(cfg)
 		t.Run(d.Name(), func(t *testing.T) {
 			d.Register(0)
@@ -318,7 +322,7 @@ func TestDoublyRemoveRace(t *testing.T) {
 	// All threads try to remove the same key; exactly one must win. The
 	// strict variants decide via lostOp, the relaxed ones via retry.
 	for _, k := range []core.Kind{core.KindFA, core.KindXO, core.KindV} {
-		d := NewDoubly(Config{Mode: ModeRR, RRKind: k, Threads: 8, Window: core.Window{W: 2}})
+		d := NewDoubly(link.Config{Mode: link.ModeRR, RRKind: k, Threads: 8, Window: core.Window{W: 2}})
 		t.Run(d.Name(), func(t *testing.T) {
 			for round := 0; round < 50; round++ {
 				d.Register(0)
@@ -351,13 +355,13 @@ func TestDoublyConcurrentStress(t *testing.T) {
 	kinds := core.Kinds()
 	var all []*DList
 	for _, k := range kinds {
-		all = append(all, NewDoubly(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4}}))
+		all = append(all, NewDoubly(link.Config{Mode: link.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 4}}))
 	}
 	all = append(all,
-		NewDoubly(Config{Mode: ModeHTM, Threads: threads}),
-		NewDoubly(Config{Mode: ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
-		NewDoubly(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
-		NewDoubly(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
+		NewDoubly(link.Config{Mode: link.ModeHTM, Threads: threads}),
+		NewDoubly(link.Config{Mode: link.ModeTMHP, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
+		NewDoubly(link.Config{Mode: link.ModeTMHE, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
+		NewDoubly(link.Config{Mode: link.ModeTMVBR, Threads: threads, Window: core.Window{W: 4}, ScanThreshold: 8}),
 	)
 	for _, d := range all {
 		t.Run(d.Name(), func(t *testing.T) {
@@ -372,10 +376,10 @@ func TestDoublyConcurrentStress(t *testing.T) {
 func TestDoublyRejectsREF(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewDoubly(ModeREF) did not panic")
+			t.Fatal("NewDoubly(link.ModeREF) did not panic")
 		}
 	}()
-	NewDoubly(Config{Mode: ModeREF, Threads: 1})
+	NewDoubly(link.Config{Mode: link.ModeREF, Threads: 1})
 }
 
 func TestNames(t *testing.T) {
@@ -392,7 +396,7 @@ func TestNames(t *testing.T) {
 // correctness must be unaffected (the knob only changes cut frequency).
 func TestSetWindowLive(t *testing.T) {
 	const threads = 4
-	l := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: threads, Window: core.Window{W: 16}})
+	l := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: threads, Window: core.Window{W: 16}})
 	stop := make(chan struct{})
 	go func() {
 		w := 1
@@ -411,7 +415,7 @@ func TestSetWindowLive(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	l := New(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 1}})
+	l := New(link.Config{Mode: link.ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 1}})
 	l.Register(0)
 	if got := l.Snapshot(); len(got) != 0 {
 		t.Fatalf("empty snapshot = %v", got)

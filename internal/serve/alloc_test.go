@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"hohtx/internal/core"
+	"hohtx/internal/link"
 	"hohtx/internal/list"
 	"hohtx/internal/sets"
+	"hohtx/internal/skiplist"
+	"hohtx/internal/tree"
 )
 
 // The allocation-budget gate (DESIGN.md §15): steady-state request
@@ -51,8 +54,8 @@ func newAllocConn(t *testing.T, srv *Server, script string) *conn {
 
 func newAllocServer(t *testing.T, slots int) *Server {
 	t.Helper()
-	set := list.New(list.Config{
-		Mode: list.ModeRR, RRKind: core.KindV,
+	set := list.New(link.Config{
+		Mode: link.ModeRR, RRKind: core.KindV,
 		Threads: slots, Window: core.Window{W: 8},
 	})
 	pool := NewPool(set, PoolConfig{Slots: slots})
@@ -111,33 +114,58 @@ func TestServeAllocsMalformed(t *testing.T) {
 	pinZero(t, "unknown-verb", srv, "FROB 1\n", 1)
 }
 
-// TestStructureAllocs pins the layer below the wire: single ops and batch
-// Apply on the RR-V list allocate nothing once warm (bound reclamation
-// hooks + per-thread batch scratch; see stm.OnCommitCall).
+// TestStructureAllocs pins the layer below the wire: warm single ops on
+// every structure family allocate nothing (bound link hooks, per-thread
+// transactions), and so does batch Apply on the lists (per-thread batch
+// scratch; see stm.OnCommitCall). The structures hold 64 keys, so W = 8
+// traversals cut windows and the link's hold path runs too.
 func TestStructureAllocs(t *testing.T) {
-	set := list.New(list.Config{
-		Mode: list.ModeRR, RRKind: core.KindV,
-		Threads: 2, Window: core.Window{W: 8},
-	})
+	rrv := link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 2, Window: core.Window{W: 8}}
+	hp, vbr := rrv, rrv
+	hp.Mode, vbr.Mode = link.ModeTMHP, link.ModeTMVBR
 	ops := make([]sets.Op, 0, 64)
 	for i := 0; i < 32; i++ {
-		ops = append(ops, sets.Op{Kind: sets.OpInsert, Key: uint64(100 + i)})
+		ops = append(ops, sets.Op{Kind: sets.OpInsert, Key: uint64(101 + 2*i)})
 	}
 	for i := 0; i < 32; i++ {
-		ops = append(ops, sets.Op{Kind: sets.OpRemove, Key: uint64(100 + i)})
+		ops = append(ops, sets.Op{Kind: sets.OpRemove, Key: uint64(101 + 2*i)})
 	}
-	set.Apply(0, ops) // prime arena + scratch
-	cases := []struct {
-		name string
-		f    func()
+	for _, fam := range []struct {
+		name  string
+		set   sets.Set
+		batch bool // Apply reuses per-thread scratch (the lists)
 	}{
-		{"lookup", func() { set.Lookup(0, 50) }},
-		{"insert+remove", func() { set.Insert(0, 51); set.Remove(0, 51) }},
-		{"apply-64", func() { set.Apply(0, ops) }},
-	}
-	for _, c := range cases {
-		if got := testing.AllocsPerRun(500, c.f); got != 0 {
-			t.Errorf("%s: %.4f allocs/op, want 0", c.name, got)
+		{"singly/RR-V", list.New(rrv), true},
+		{"singly/TMHP", list.New(hp), true},
+		{"singly/TMVBR", list.New(vbr), true},
+		{"etree/RR-V", tree.NewExternal(rrv), false},
+		{"itree/RR-V", tree.NewInternal(rrv), false},
+		{"skip/RR-V", skiplist.New(rrv), false},
+	} {
+		set := fam.set
+		set.Register(0)
+		for k := uint64(0); k < 128; k += 2 {
+			set.Insert(0, k)
+		}
+		set.Apply(0, ops) // prime arena + scratch
+		cases := []struct {
+			name string
+			f    func()
+		}{
+			{"lookup", func() { set.Lookup(0, 50) }},
+			{"insert+remove", func() { set.Insert(0, 51); set.Remove(0, 51) }},
+		}
+		if fam.batch {
+			cases = append(cases, struct {
+				name string
+				f    func()
+			}{"apply-64", func() { set.Apply(0, ops) }})
+		}
+		for _, c := range cases {
+			c.f() // warm: retire lists, hazard scans, hook queues
+			if got := testing.AllocsPerRun(500, c.f); got != 0 {
+				t.Errorf("%s %s: %.4f allocs/op, want 0", fam.name, c.name, got)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,18 @@ func TestLeaseContention(t *testing.T) {
 	set := newSet(t, slots)
 	p := serve.NewPool(set, serve.PoolConfig{Slots: slots})
 
+	// Force the contention instead of hoping the scheduler preempts a
+	// holder: every slot is leased before the workers start and released
+	// only once at least one worker is queued behind them.
+	var held [slots]int
+	for i := range held {
+		slot, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatalf("Acquire: %v", err)
+		}
+		held[i] = slot
+	}
+
 	var inUse [slots]atomic.Int32
 	var ops atomic.Int64
 	var wg sync.WaitGroup
@@ -59,13 +72,19 @@ func TestLeaseContention(t *testing.T) {
 			}
 		}(g)
 	}
+	for p.Stats().Waiting == 0 {
+		runtime.Gosched()
+	}
+	for _, slot := range held {
+		p.Release(slot)
+	}
 	wg.Wait()
 	if got := ops.Load(); got != goroutines*opsEach {
 		t.Fatalf("ops = %d, want %d", got, goroutines*opsEach)
 	}
 	st := p.Stats()
-	if st.Leases != goroutines*opsEach {
-		t.Fatalf("Leases = %d, want %d", st.Leases, goroutines*opsEach)
+	if st.Leases != goroutines*opsEach+slots {
+		t.Fatalf("Leases = %d, want %d (ops plus the %d held leases)", st.Leases, goroutines*opsEach+slots, slots)
 	}
 	if st.Outstanding != 0 || st.Waiting != 0 {
 		t.Fatalf("pool not quiesced: %+v", st)

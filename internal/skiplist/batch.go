@@ -20,15 +20,14 @@ func (s *SkipList) Apply(tid int, ops []sets.Op) []sets.Result {
 	if len(ops) == 0 {
 		return out
 	}
-	ts := &s.threads[tid]
-	ts.ops += uint64(len(ops))
+	s.Begin(tid, len(ops))
 	heights := make([]int, len(ops))
 	for i, op := range ops {
 		if op.Kind == sets.OpInsert {
 			heights[i] = s.randHeight(tid)
 		}
 	}
-	s.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
+	s.RT.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
 		for i, op := range ops {
 			switch op.Kind {
 			case sets.OpInsert:
@@ -63,18 +62,14 @@ func (s *SkipList) insertInTx(tx *stm.Tx, tid int, key uint64, h int) bool {
 	if !s.collectPreds(c, key, arena.Nil, &preds) {
 		return false
 	}
-	nh := s.ar.Alloc(tid)
-	if s.he != nil {
-		s.he.StampAlloc(nh)
-	}
-	tx.OnAbort(func() { s.ar.Free(tid, nh) })
-	n := s.ar.At(nh)
+	nh := s.Alloc(tx, tid)
+	n := s.Arena.At(nh)
 	n.key.Store(tx, key)
 	n.height.Store(tx, uint64(h))
 	n.dead.Store(tx, 0)
 	for l := 0; l < h; l++ {
-		p := s.ar.At(preds[l])
-		n.next[l].Store(tx, uint64(s.loadLink(tx, tid, preds[l], &p.next[l])))
+		p := s.Arena.At(preds[l])
+		n.next[l].Store(tx, uint64(s.LoadLink(tx, tid, preds[l], &p.next[l])))
 		p.next[l].Store(tx, uint64(nh))
 	}
 	return true
@@ -88,13 +83,13 @@ func (s *SkipList) removeInTx(tx *stm.Tx, tid int, key uint64) bool {
 	if s.run(c, key, int(^uint(0)>>1), 0, 0) == advStopped {
 		return false
 	}
-	victim := s.loadLink(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
+	victim := s.LoadLink(tx, tid, c.curr, &s.Arena.At(c.curr).next[c.level])
 	if victim.IsNil() {
 		// Poisoned link (doomed snapshot): abort and re-run the batch.
 		tx.Restart()
 	}
-	v := s.ar.At(victim)
-	vh := int(s.loadWord(tx, tid, victim, &v.height))
+	v := s.Arena.At(victim)
+	vh := int(s.LoadWord(tx, tid, victim, &v.height))
 	if c.level != vh-1 {
 		// Unreachable from an uncut descent unless the snapshot is doomed.
 		tx.Restart()
@@ -104,22 +99,8 @@ func (s *SkipList) removeInTx(tx *stm.Tx, tid int, key uint64) bool {
 		panic("skiplist: unreachable: duplicate key beside victim")
 	}
 	for l := 0; l < vh; l++ {
-		s.ar.At(preds[l]).next[l].Store(tx, uint64(s.loadLink(tx, tid, victim, &v.next[l])))
+		s.Arena.At(preds[l]).next[l].Store(tx, uint64(s.LoadLink(tx, tid, victim, &v.next[l])))
 	}
-	switch s.mode {
-	case ModeRR:
-		s.rr.Revoke(tx, uint64(victim))
-		tx.OnCommit(func() { s.ar.Free(tid, victim) })
-	case ModeTMHE:
-		v.dead.Store(tx, 1)
-		stamp := s.threads[tid].ops
-		tx.OnCommit(func() { s.he.Retire(tid, victim, stamp) })
-	case ModeTMVBR:
-		v.dead.Store(tx, 1)
-		stamp := s.threads[tid].ops
-		tx.OnCommit(func() { s.vbr.Retire(tid, victim, stamp) })
-	default: // ModeHTM
-		tx.OnCommit(func() { s.ar.Free(tid, victim) })
-	}
+	s.Reclaim(tx, tid, victim)
 	return true
 }

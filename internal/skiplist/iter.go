@@ -1,7 +1,6 @@
 package skiplist
 
 import (
-	"hohtx/internal/arena"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -26,25 +25,22 @@ import (
 // hold is released on every exit path — exhaustion, early fn → false,
 // or a panicking consumer.
 func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error {
-	s.threads[tid].ops++
+	s.Begin(tid, 1)
 	last := from // next key to deliver must be >= last
 	var batch []uint64
 	holding := false
 	windows, renavs := 0, 0
 	defer func() {
 		if holding {
-			s.dropHoldOutsideWindow(tid)
+			s.DropHold(tid)
 		}
-		if s.scanWindows != nil {
-			s.scanWindows.Record(uint64(windows))
-			s.scanRenavs.Record(uint64(renavs))
-		}
+		s.NoteScan(windows, renavs)
 	}()
 	for {
 		done := false
 		resumed := false
 		batch = batch[:0]
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
+		s.RT.AtomicT(tid, func(tx *stm.Tx) {
 			done = false
 			batch = batch[:0]
 			start, level, held := s.windowStart(tx, tid)
@@ -52,8 +48,8 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 			budget := s.budgetFor(tx, held, false)
 			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
 			for {
-				n := s.ar.At(c.curr)
-				nextH := s.loadLink(tx, tid, c.curr, &n.next[c.level])
+				n := s.Arena.At(c.curr)
+				nextH := s.LoadLink(tx, tid, c.curr, &n.next[c.level])
 				if nextH.IsNil() {
 					if c.level == 0 {
 						// End of the bottom chain: the scan is complete.
@@ -64,7 +60,7 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 					c.level--
 					continue
 				}
-				nk := s.loadWord(tx, tid, nextH, &s.ar.At(nextH).key)
+				nk := s.LoadWord(tx, tid, nextH, &s.Arena.At(nextH).key)
 				if nk >= last {
 					if c.level > 0 {
 						// Descend: the first key >= last is below us.
@@ -114,22 +110,5 @@ func (s *SkipList) Ascend(tid int, from uint64, fn func(key uint64) bool) error 
 // the deferred modes resume exactly like point operations, via the
 // dead-checked start handle instead of a reservation.
 func (s *SkipList) CanAscend() bool { return true }
-
-// dropHoldOutsideWindow releases the iterator's reservation from outside
-// any window transaction (early consumer termination or a consumer
-// panic).
-func (s *SkipList) dropHoldOutsideWindow(tid int) {
-	switch s.mode {
-	case ModeRR:
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
-			s.rr.Release(tx, tid)
-		})
-	case ModeTMHE:
-		s.threads[tid].start = arena.Nil
-		s.he.ClearSlots(tid)
-	case ModeTMVBR:
-		s.threads[tid].start = arena.Nil
-	}
-}
 
 var _ sets.Ascender = (*SkipList)(nil)

@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"hohtx/internal/link"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 func TestSkipAscendSequential(t *testing.T) {
 	for _, k := range core.Kinds() {
-		s := New(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
+		s := New(link.Config{Mode: link.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 3}})
 		t.Run(s.Name(), func(t *testing.T) {
 			s.Register(0)
 			for key := uint64(2); key <= 80; key += 2 {
@@ -65,7 +66,7 @@ func TestSkipAscendSequential(t *testing.T) {
 }
 
 func TestSkipAscendHTMMode(t *testing.T) {
-	s := New(Config{Mode: ModeHTM, Threads: 1})
+	s := New(link.Config{Mode: link.ModeHTM, Threads: 1})
 	s.Register(0)
 	for key := uint64(1); key <= 10; key++ {
 		s.Insert(0, key)
@@ -82,7 +83,7 @@ func TestSkipAscendHTMMode(t *testing.T) {
 // TestSkipAscendPanicReleasesHold mirrors the list regression: a
 // panicking consumer must not leave the cursor's reservation behind.
 func TestSkipAscendPanicReleasesHold(t *testing.T) {
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	s := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}})
 	s.Register(0)
 	s.Register(1)
@@ -121,7 +122,7 @@ func TestSkipAscendPanicReleasesHold(t *testing.T) {
 // for present-throughout keys) and counts at least one re-navigation.
 func TestSkipAscendRenavigation(t *testing.T) {
 	dom := obs.NewDomain(obs.DomainConfig{Name: "skip-iter-test", Threads: 2, SampleShift: 0})
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 2,
+	s := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 2,
 		Window: core.Window{W: 2, NoScatter: true}, Obs: dom})
 	s.Register(0)
 	s.Register(1)
@@ -162,7 +163,7 @@ func TestSkipAscendRenavigation(t *testing.T) {
 // churn with immediate reclamation recycling nodes mid-scan.
 func TestSkipAscendConcurrent(t *testing.T) {
 	const stable = 50 // odd keys 1..99 stay put
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 4}})
+	s := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 4, Window: core.Window{W: 4}})
 	s.Register(0)
 	for k := uint64(1); k <= 99; k += 2 {
 		s.Insert(0, k)
@@ -222,8 +223,8 @@ func TestSkipAscendConcurrent(t *testing.T) {
 // weak-consistency contract under concurrent churn (covering the
 // dead-checked resume path where RR uses revocation).
 func TestSkipAscendDeferredModes(t *testing.T) {
-	for _, mode := range []Mode{ModeTMHE, ModeTMVBR} {
-		s := New(Config{Mode: mode, Threads: 4, Window: core.Window{W: 4}, ScanThreshold: 8})
+	for _, mode := range []link.Mode{link.ModeTMHE, link.ModeTMVBR} {
+		s := New(link.Config{Mode: mode, Threads: 4, Window: core.Window{W: 4}, ScanThreshold: 8})
 		t.Run(s.Name(), func(t *testing.T) {
 			if !s.CanAscend() {
 				t.Fatal("CanAscend = false")

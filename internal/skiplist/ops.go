@@ -50,10 +50,10 @@ const (
 // drops below stopLevel, and never cuts below noCutBelow.
 func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel int) advanceResult {
 	for {
-		n := s.ar.At(c.curr)
-		nextH := s.loadLink(c.tx, c.tid, c.curr, &n.next[c.level])
+		n := s.Arena.At(c.curr)
+		nextH := s.LoadLink(c.tx, c.tid, c.curr, &n.next[c.level])
 		if !nextH.IsNil() {
-			nk := s.loadWord(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
+			nk := s.LoadWord(c.tx, c.tid, nextH, &s.Arena.At(nextH).key)
 			if nk == key {
 				return advMatched
 			}
@@ -73,113 +73,44 @@ func (s *SkipList) run(c *searchCtx, key uint64, budget, noCutBelow, stopLevel i
 	}
 }
 
-// windowStart resolves the traversal origin for one transaction; the
-// resume protocols are the list engine's (see its protocol note).
+// windowStart resolves the traversal origin for one transaction: the
+// held node at the level stashed as the link's resume word, or the head
+// at the top level.
 func (s *SkipList) windowStart(tx *stm.Tx, tid int) (arena.Handle, int, bool) {
-	switch s.mode {
-	case ModeRR:
-		if r := s.rr.Get(tx, tid); r != 0 {
-			return arena.Handle(r), s.threads[tid].level, true
-		}
-	case ModeTMHE:
-		st := s.threads[tid].start
-		if !st.IsNil() && s.loadWord(tx, tid, st, &s.ar.At(st).dead) == 0 {
-			return st, s.threads[tid].level, true
-		}
-	case ModeTMVBR:
-		// Nothing pins the held start; bracket the dead load with
-		// arena-generation checks (see the list engine's protocol note).
-		st := s.threads[tid].start
-		if !st.IsNil() && s.ar.Live(st) &&
-			s.loadWord(tx, tid, st, &s.ar.At(st).dead) == 0 && s.ar.Live(st) {
-			return st, s.threads[tid].level, true
-		}
+	if st, held := s.Start(tx, tid, s.head); held {
+		return st, int(s.Word(tid)), true
 	}
 	return s.head, MaxHeight - 1, false
 }
 
-// cutWindow attaches the frame's position to the thread for the next
-// transaction to resume from.
+// cutWindow attaches the frame's position, with its level, to the thread
+// for the next transaction to resume from.
 func (s *SkipList) cutWindow(c *searchCtx, held bool) {
-	ts := &s.threads[c.tid]
-	curr, level := c.curr, c.level
-	switch s.mode {
-	case ModeRR:
-		if held {
-			s.rr.Release(c.tx, c.tid)
-		}
-		s.rr.Reserve(c.tx, c.tid, uint64(curr))
-		c.tx.OnCommit(func() { ts.level = level })
-	case ModeTMHE:
-		slot := ts.parity & 1
-		s.he.Protect(c.tid, slot, curr)
-		// Ordering re-check; see the list engine's protocol note.
-		_ = s.loadWord(c.tx, c.tid, curr, &s.ar.At(curr).dead)
-		c.tx.OnCommit(func() {
-			ts.start = curr
-			ts.level = level
-			s.he.Protect(c.tid, slot^1, 0)
-			ts.parity++
-		})
-	case ModeTMVBR:
-		c.tx.OnCommit(func() {
-			ts.start = curr
-			ts.level = level
-		})
-	}
+	s.Hold(c.tx, c.tid, held, c.curr, uint64(c.level))
 }
 
-// release drops the hold at operation end.
+// release drops the hold at operation end, or abandons a resumed position
+// mid-transaction so the operation's next attempt restarts from the head.
 func (s *SkipList) release(c *searchCtx, held bool) {
-	switch s.mode {
-	case ModeRR:
-		if held {
-			s.rr.Release(c.tx, c.tid)
-		}
-	case ModeTMHE:
-		tid := c.tid
-		c.tx.OnCommit(func() {
-			s.threads[tid].start = arena.Nil
-			s.he.ClearSlots(tid)
-		})
-	case ModeTMVBR:
-		tid := c.tid
-		c.tx.OnCommit(func() { s.threads[tid].start = arena.Nil })
-	}
-}
-
-// dropHold abandons a resumed position mid-transaction so the operation's
-// next attempt restarts from the head.
-func (s *SkipList) dropHold(c *searchCtx, held bool) {
-	switch s.mode {
-	case ModeRR:
-		if held {
-			s.rr.Release(c.tx, c.tid)
-		}
-	case ModeTMHE, ModeTMVBR:
-		s.release(c, held)
-	}
+	s.Terminal(c.tx, c.tid, held)
 }
 
 // budgetFor computes a window budget (unbounded for ModeHTM or when the
 // operation demands a single uncut traversal).
 func (s *SkipList) budgetFor(tx *stm.Tx, held, full bool) int {
-	if s.mode == ModeHTM || full {
+	if full {
 		return int(^uint(0) >> 1)
 	}
-	if held {
-		return s.win.Next()
-	}
-	return s.win.First(tx)
+	return s.Budget(tx, held)
 }
 
 // Lookup implements sets.Set.
 func (s *SkipList) Lookup(tid int, key uint64) bool {
-	s.threads[tid].ops++
+	s.Begin(tid, 1)
 	var res bool
 	for {
 		done := false
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
+		s.RT.AtomicT(tid, func(tx *stm.Tx) {
 			done, res = false, false
 			start, level, held := s.windowStart(tx, tid)
 			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
@@ -211,12 +142,12 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 	for l := c.level; l >= 0; l-- {
 		c.level = l
 		for {
-			n := s.ar.At(c.curr)
-			nextH := s.loadLink(c.tx, c.tid, c.curr, &n.next[l])
+			n := s.Arena.At(c.curr)
+			nextH := s.LoadLink(c.tx, c.tid, c.curr, &n.next[l])
 			if nextH.IsNil() || nextH == stopAt {
 				break
 			}
-			nk := s.loadWord(c.tx, c.tid, nextH, &s.ar.At(nextH).key)
+			nk := s.LoadWord(c.tx, c.tid, nextH, &s.Arena.At(nextH).key)
 			if nk == key {
 				if stopAt.IsNil() {
 					return false // duplicate insert
@@ -237,13 +168,12 @@ func (s *SkipList) collectPreds(c *searchCtx, key uint64, stopAt arena.Handle, p
 // traversal so window cuts can stop at the level where predecessor
 // collection must begin.
 func (s *SkipList) Insert(tid int, key uint64) bool {
-	ts := &s.threads[tid]
-	ts.ops++
+	s.Begin(tid, 1)
 	h := s.randHeight(tid)
 	var res bool
 	for {
 		done := false
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
+		s.RT.AtomicT(tid, func(tx *stm.Tx) {
 			done, res = false, false
 			start, level, held := s.windowStart(tx, tid)
 			c := &searchCtx{tx: tx, tid: tid, curr: start, level: level}
@@ -280,18 +210,14 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 				done = true
 				return
 			}
-			nh := s.ar.Alloc(tid)
-			if s.he != nil {
-				s.he.StampAlloc(nh)
-			}
-			tx.OnAbort(func() { s.ar.Free(tid, nh) })
-			n := s.ar.At(nh)
+			nh := s.Alloc(tx, tid)
+			n := s.Arena.At(nh)
 			n.key.Store(tx, key)
 			n.height.Store(tx, uint64(h))
 			n.dead.Store(tx, 0)
 			for l := 0; l < h; l++ {
-				p := s.ar.At(preds[l])
-				n.next[l].Store(tx, uint64(s.loadLink(tx, tid, preds[l], &p.next[l])))
+				p := s.Arena.At(preds[l])
+				n.next[l].Store(tx, uint64(s.LoadLink(tx, tid, preds[l], &p.next[l])))
 				p.next[l].Store(tx, uint64(nh))
 			}
 			res = true
@@ -311,12 +237,12 @@ func (s *SkipList) Insert(tid int, key uint64) bool {
 // can meet the victim below its top; in that case the hold is dropped and
 // the operation retries with one uncut traversal.
 func (s *SkipList) Remove(tid int, key uint64) bool {
-	s.threads[tid].ops++
+	s.Begin(tid, 1)
 	var res bool
 	full := false
 	for {
 		done := false
-		s.rt.AtomicT(tid, func(tx *stm.Tx) {
+		s.RT.AtomicT(tid, func(tx *stm.Tx) {
 			done, res = false, false
 			start, level, held := s.windowStart(tx, tid)
 			if full {
@@ -334,20 +260,20 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 				return
 			case advMatched:
 			}
-			victim := s.loadLink(tx, tid, c.curr, &s.ar.At(c.curr).next[c.level])
+			victim := s.LoadLink(tx, tid, c.curr, &s.Arena.At(c.curr).next[c.level])
 			if victim.IsNil() {
 				// Only a poisoned link defuses to Nil after advMatched; this
 				// attempt is doomed — restart with a full descent.
-				s.dropHold(c, held)
+				s.release(c, held)
 				full = true
 				return
 			}
-			v := s.ar.At(victim)
-			vh := int(s.loadWord(tx, tid, victim, &v.height))
+			v := s.Arena.At(victim)
+			vh := int(s.LoadWord(tx, tid, victim, &v.height))
 			if c.level != vh-1 {
 				// Met the victim under its tower (resumed traversal):
 				// restart with a full descent that sees its top.
-				s.dropHold(c, held)
+				s.release(c, held)
 				full = true
 				return // done=false: retry
 			}
@@ -356,23 +282,9 @@ func (s *SkipList) Remove(tid int, key uint64) bool {
 				panic("skiplist: unreachable: duplicate key beside victim")
 			}
 			for l := 0; l < vh; l++ {
-				s.ar.At(preds[l]).next[l].Store(tx, uint64(s.loadLink(tx, tid, victim, &v.next[l])))
+				s.Arena.At(preds[l]).next[l].Store(tx, uint64(s.LoadLink(tx, tid, victim, &v.next[l])))
 			}
-			switch s.mode {
-			case ModeRR:
-				s.rr.Revoke(tx, uint64(victim))
-				tx.OnCommit(func() { s.ar.Free(tid, victim) })
-			case ModeTMHE:
-				v.dead.Store(tx, 1)
-				stamp := s.threads[tid].ops
-				tx.OnCommit(func() { s.he.Retire(tid, victim, stamp) })
-			case ModeTMVBR:
-				v.dead.Store(tx, 1)
-				stamp := s.threads[tid].ops
-				tx.OnCommit(func() { s.vbr.Retire(tid, victim, stamp) })
-			default: // ModeHTM
-				tx.OnCommit(func() { s.ar.Free(tid, victim) })
-			}
+			s.Reclaim(tx, tid, victim)
 			res = true
 			s.release(c, held)
 			done = true

@@ -27,13 +27,9 @@
 package skiplist
 
 import (
-	"fmt"
-
 	"hohtx/internal/arena"
-	"hohtx/internal/core"
-	"hohtx/internal/obs"
+	"hohtx/internal/link"
 	"hohtx/internal/pad"
-	"hohtx/internal/reclaim"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -41,22 +37,6 @@ import (
 // MaxHeight bounds node heights; 2^20 expected keys per level-20 node is
 // far beyond the benchmark sizes.
 const MaxHeight = 20
-
-// Mode selects the synchronization mechanism.
-type Mode uint8
-
-const (
-	// ModeRR is hand-over-hand transactions with revocable reservations.
-	ModeRR Mode = iota
-	// ModeHTM runs each operation as a single transaction.
-	ModeHTM
-	// ModeTMHE is hand-over-hand with hazard-era deferred reclamation
-	// (the TMHP window protocol with era reservations; DESIGN.md §14).
-	ModeTMHE
-	// ModeTMVBR is hand-over-hand with version-based reclamation: no
-	// reservations at all, resumed positions revalidate (DESIGN.md §14).
-	ModeTMVBR
-)
 
 // node is a skiplist element. height is immutable after the insert that
 // published the node commits; next[0:height] are the forward links; dead
@@ -69,164 +49,39 @@ type node struct {
 	_      pad.Line
 }
 
+// threadState is the skiplist's own per-thread state (the held position
+// and its level live in link.Base: the level is the link's resume word).
 type threadState struct {
-	level  int          // resume level for a held position
-	start  arena.Handle // resume node for the deferred modes
-	parity int          // era-slot parity (ModeTMHE)
-	ops    uint64
-	rng    uint64
-	_      pad.Line
-}
-
-// Config parameterizes the skiplist.
-type Config struct {
-	// Mode selects the mechanism; default ModeRR.
-	Mode Mode
-	// RRKind selects the reservation scheme for ModeRR.
-	RRKind core.Kind
-	// Threads is the number of distinct tids. Required.
-	Threads int
-	// Window is the hand-over-hand window policy (node inspections per
-	// transaction); ignored for ModeHTM.
-	Window core.Window
-	// Profile overrides the TM profile (default: the tree setting,
-	// serial fallback after 8 attempts).
-	Profile stm.Profile
-	// ArenaPolicy selects the allocator policy.
-	ArenaPolicy arena.Policy
-	// YieldShift enables simulated preemption (see stm.Profile).
-	YieldShift uint8
-	// ClockPolicy selects the TM global-clock policy (see
-	// stm.Profile.ClockPolicy); composes with the Profile like YieldShift.
-	ClockPolicy stm.ClockPolicy
-	// ScanThreshold is the retire batch size for the deferred modes
-	// (ModeTMHE scans, ModeTMVBR self-tick cadence).
-	ScanThreshold int
-	// TableBits/Assoc size the reservation metadata.
-	TableBits int
-	Assoc     int
-	// Guard enables the arena use-after-free sanitizer (see guard.go and
-	// the identically named field in package list).
-	Guard bool
-	// GuardSink receives guard violations instead of the default panic.
-	GuardSink func(arena.GuardEvent)
-	// Obs, when non-nil, threads the observability domain through every
-	// layer the skiplist owns (see the identically named field in package
-	// list). Nil keeps every instrumented site at a single nil/branch
-	// check.
-	Obs *obs.Domain
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 8
-	}
-	if c.Profile == (stm.Profile{}) {
-		c.Profile = stm.HTMProfile(8)
-	}
-	if c.YieldShift != 0 {
-		c.Profile.YieldShift = c.YieldShift
-	}
-	if c.ClockPolicy != 0 {
-		c.Profile.ClockPolicy = c.ClockPolicy
-	}
-	if c.Window.W == 0 && c.Mode != ModeHTM {
-		c.Window.W = 16
-	}
-	if c.Mode == ModeHTM {
-		c.Window = core.Window{}
-	}
-	if c.ScanThreshold <= 0 {
-		c.ScanThreshold = reclaim.DefaultScanThreshold
-	}
-	return c
+	rng uint64
+	_   pad.Line
 }
 
 // SkipList is the concurrent set.
 type SkipList struct {
-	rt      *stm.Runtime
-	ar      *arena.Arena[node]
-	rr      core.Reservation
-	he      *reclaim.HazardEras
-	vbr     *reclaim.VBR
-	mode    Mode
-	win     core.Window
+	*link.Base[node]
 	head    arena.Handle // sentinel at full height, key 0
 	threads []threadState
-	guard   bool
-	obs     *obs.Domain
-
-	scanWindows *obs.Histogram // window txs per Ascend (nil without Obs)
-	scanRenavs  *obs.Histogram // re-navigations per Ascend (nil without Obs)
 }
 
 var _ sets.Set = (*SkipList)(nil)
 var _ sets.MemoryReporter = (*SkipList)(nil)
 
-// New constructs a skiplist set.
-func New(cfg Config) *SkipList {
-	cfg = cfg.withDefaults()
-	s := &SkipList{
-		rt: stm.NewRuntime(cfg.Profile),
-		ar: arena.New[node](arena.Config{
-			Threads: cfg.Threads, Policy: cfg.ArenaPolicy,
-			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
-		}),
-		mode:    cfg.Mode,
-		win:     cfg.Window,
-		threads: make([]threadState, cfg.Threads),
-		guard:   cfg.Guard,
-	}
-	s.ar.SetRetire(func(n *node) { retireNode(n, s.rt.VersionFence()) })
-	if cfg.Guard {
-		s.ar.SetPoison(poisonNode)
-	}
-	switch cfg.Mode {
-	case ModeRR:
-		s.rr = core.New(cfg.RRKind, core.Config{
-			Threads: cfg.Threads, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
-		})
-	case ModeTMHE:
-		s.he = reclaim.NewHazardEras(reclaim.HEConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { s.ar.Free(tid, h) },
-		})
-	case ModeTMVBR:
-		s.vbr = reclaim.NewVBR(reclaim.VBRConfig{
-			Threads:   cfg.Threads,
-			TickEvery: cfg.ScanThreshold,
-			Clock:     s.rt.VersionFence,
-			Tick:      s.rt.TickVersionFence,
-			Free:      func(tid int, h arena.Handle) { s.ar.Free(tid, h) },
-		})
-	}
-	if cfg.Obs != nil {
-		s.obs = cfg.Obs
-		s.scanWindows = cfg.Obs.Hist(obs.HistAscendWindows, "txs")
-		s.scanRenavs = cfg.Obs.Hist(obs.HistAscendRenavs, "navs")
-		s.rt.SetObserver(cfg.Obs.TxProbe())
-		s.ar.SetObserver(cfg.Obs.AllocProbe())
-		if s.rr != nil {
-			s.rr = core.Observed(s.rr, cfg.Obs.HoldProbe(), cfg.Threads)
-		}
-		if s.he != nil {
-			s.he.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return s.he.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return s.he.Stats().PeakDeferred })
-		}
-		if s.vbr != nil {
-			s.vbr.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return s.vbr.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return s.vbr.Stats().PeakDeferred })
-		}
-	}
+// New constructs a skiplist set. The zero Config window means W = 16 node
+// inspections per transaction, and the zero profile the tree setting:
+// serial fallback after 8 attempts.
+func New(cfg link.Config) *SkipList {
+	b := link.New(cfg, link.Layout[node]{
+		Family: "skip", Attempts: 8, Window: 16, Scans: true,
+		Dead:   func(n *node) *stm.Word { return &n.dead },
+		Retire: retireNode,
+		Poison: poisonNode,
+	})
+	s := &SkipList{Base: b, threads: make([]threadState, b.Threads())}
 	for i := range s.threads {
 		s.threads[i].rng = uint64(i)*0x9e3779b97f4a7c15 + 0xdeadbeef
 	}
-	s.head = s.ar.Alloc(0)
-	h := s.ar.At(s.head)
+	s.head = s.Arena.Alloc(0)
+	h := s.Arena.At(s.head)
 	h.key.Init(0)
 	h.height.Init(MaxHeight)
 	h.dead.Init(0)
@@ -237,45 +92,7 @@ func New(cfg Config) *SkipList {
 }
 
 // Name implements sets.Set.
-func (s *SkipList) Name() string {
-	switch s.mode {
-	case ModeRR:
-		return s.rr.Name() + "/skip"
-	case ModeHTM:
-		return "HTM/skip"
-	case ModeTMHE:
-		return "TMHE/skip"
-	case ModeTMVBR:
-		return "TMVBR/skip"
-	default:
-		return fmt.Sprintf("skip-?%d", s.mode)
-	}
-}
-
-// Register implements sets.Set.
-func (s *SkipList) Register(tid int) {
-	if s.rr != nil {
-		s.rr.Register(tid)
-	}
-}
-
-// Finish implements sets.Set: the deferred modes drain their retired
-// lists (no-op for the precise modes).
-func (s *SkipList) Finish(tid int) {
-	if s.he != nil {
-		s.he.ClearSlots(tid)
-		s.he.Flush(tid, s.threads[tid].ops)
-	}
-	if s.vbr != nil {
-		s.vbr.Flush(tid, s.threads[tid].ops)
-	}
-}
-
-// Runtime exposes the TM runtime.
-func (s *SkipList) Runtime() *stm.Runtime { return s.rt }
-
-// ObsDomain returns the attached observability domain (nil when detached).
-func (s *SkipList) ObsDomain() *obs.Domain { return s.obs }
+func (s *SkipList) Name() string { return s.Base.Name() + "/skip" }
 
 // randHeight draws a geometric height in [1, MaxHeight] (p = 1/2).
 func (s *SkipList) randHeight(tid int) int {
@@ -293,70 +110,11 @@ func (s *SkipList) randHeight(tid int) int {
 	return h
 }
 
-// TxCommits, TxAborts, TxSerial report TM statistics.
-func (s *SkipList) TxCommits() uint64 { return s.rt.Stats().Commits }
-func (s *SkipList) TxAborts() uint64  { return s.rt.Stats().TotalAborts() }
-func (s *SkipList) TxSerial() uint64  { return s.rt.Stats().SerialCommits }
-
-// TMStats returns the full TM statistics snapshot (per-cause aborts,
-// clock and commit-lock counters).
-func (s *SkipList) TMStats() stm.Stats { return s.rt.Stats() }
-
-// deferredScheme returns the deferred-reclamation scheme, nil for the
-// precise modes.
-func (s *SkipList) deferredScheme() reclaim.Scheme {
-	switch {
-	case s.he != nil:
-		return s.he
-	case s.vbr != nil:
-		return s.vbr
-	}
-	return nil
-}
-
-// PeakDeferred reports the reclamation scheme's deferred high-water mark
-// (zero for the precise modes).
-func (s *SkipList) PeakDeferred() uint64 {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats().PeakDeferred
-	}
-	return 0
-}
-
-// ReclaimStats exposes the deferred-reclamation counters (zero for the
-// precise modes).
-func (s *SkipList) ReclaimStats() reclaim.Stats {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats()
-	}
-	return reclaim.Stats{}
-}
-
-// AvgReclaimDelayOps reports the mean operations between logical deletion
-// and physical free (0 for the precise modes).
-func (s *SkipList) AvgReclaimDelayOps() float64 {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats().AvgDelayOps()
-	}
-	return 0
-}
-
-// LiveNodes implements sets.MemoryReporter.
-func (s *SkipList) LiveNodes() uint64 { return s.ar.Stats().Live }
-
-// DeferredNodes implements sets.MemoryReporter.
-func (s *SkipList) DeferredNodes() uint64 {
-	if sc := s.deferredScheme(); sc != nil {
-		return sc.Stats().Deferred
-	}
-	return 0
-}
-
 // Snapshot implements sets.Set via the bottom level (quiescence required).
 func (s *SkipList) Snapshot() []uint64 {
 	var out []uint64
-	for h := arena.Handle(s.ar.At(s.head).next[0].Raw()); !h.IsNil(); {
-		n := s.ar.At(h)
+	for h := arena.Handle(s.Arena.At(s.head).next[0].Raw()); !h.IsNil(); {
+		n := s.Arena.At(h)
 		out = append(out, n.key.Raw())
 		h = arena.Handle(n.next[0].Raw())
 	}
@@ -372,8 +130,8 @@ func (s *SkipList) ValidateLevels() bool {
 	}
 	for l := 0; l < MaxHeight; l++ {
 		prev := uint64(0)
-		for h := arena.Handle(s.ar.At(s.head).next[l].Raw()); !h.IsNil(); {
-			n := s.ar.At(h)
+		for h := arena.Handle(s.Arena.At(s.head).next[l].Raw()); !h.IsNil(); {
+			n := s.Arena.At(h)
 			k := n.key.Raw()
 			if l > 0 && !bottom[k] {
 				return false // node on level l missing from level 0

@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"hohtx/internal/link"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -13,12 +14,12 @@ import (
 func variants(threads, w int) []*SkipList {
 	var out []*SkipList
 	for _, k := range core.Kinds() {
-		out = append(out, New(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
+		out = append(out, New(link.Config{Mode: link.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
 	}
 	out = append(out,
-		New(Config{Mode: ModeHTM, Threads: threads}),
-		New(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		New(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(link.Config{Mode: link.ModeHTM, Threads: threads}),
+		New(link.Config{Mode: link.ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		New(link.Config{Mode: link.ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 	)
 	return out
 }
@@ -99,7 +100,7 @@ func TestSequentialVsModel(t *testing.T) {
 }
 
 func TestPreciseReclamation(t *testing.T) {
-	s := New(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: 4}})
+	s := New(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: 4}})
 	s.Register(0)
 	for k := uint64(1); k <= 300; k++ {
 		s.Insert(0, k)
@@ -121,7 +122,7 @@ func TestPreciseReclamation(t *testing.T) {
 }
 
 func TestHeightDistribution(t *testing.T) {
-	s := New(Config{Mode: ModeHTM, Threads: 1})
+	s := New(link.Config{Mode: link.ModeHTM, Threads: 1})
 	counts := map[int]int{}
 	for i := 0; i < 20000; i++ {
 		counts[s.randHeight(0)]++
@@ -195,7 +196,7 @@ func TestConcurrentStress(t *testing.T) {
 // TestRemoveTallTowers forces removals of tall nodes whose unlink touches
 // many levels, including via resumed traversals (tiny window).
 func TestRemoveTallTowers(t *testing.T) {
-	s := New(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 2, Window: core.Window{W: 1}})
+	s := New(link.Config{Mode: link.ModeRR, RRKind: core.KindXO, Threads: 2, Window: core.Window{W: 1}})
 	s.Register(0)
 	s.Register(1)
 	// Insert enough keys that some towers are 5+ levels tall.

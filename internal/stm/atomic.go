@@ -21,7 +21,10 @@ func (rt *Runtime) Atomic(fn func(*Tx)) { rt.AtomicT(-1, fn) }
 
 // AtomicT is Atomic with the caller's thread id, which flows into the
 // observability layer (flight-recorder events and abort attribution carry
-// it). tid -1 means unknown; the transaction semantics are identical.
+// it) and selects the thread's reusable transaction context, so a warm
+// transaction allocates nothing. Concurrent callers must use distinct
+// tids. tid -1 means unknown and runs in a fresh context; the transaction
+// semantics are identical.
 func (rt *Runtime) AtomicT(tid int, fn func(*Tx)) { rt.atomicT(tid, 0, fn) }
 
 // AtomicBatchT is AtomicT for a batch entry point: fn carries n logical
@@ -32,8 +35,7 @@ func (rt *Runtime) AtomicT(tid int, fn func(*Tx)) { rt.atomicT(tid, 0, fn) }
 func (rt *Runtime) AtomicBatchT(tid, n int, fn func(*Tx)) { rt.atomicT(tid, n, fn) }
 
 func (rt *Runtime) atomicT(tid, batch int, fn func(*Tx)) {
-	tx := rt.txPool.Get().(*Tx)
-	defer rt.txPool.Put(tx)
+	tx := rt.txFor(tid)
 	tx.tid = int32(tid)
 
 	// One sampling decision per transaction: a sampled transaction is

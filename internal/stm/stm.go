@@ -150,7 +150,13 @@ type Runtime struct {
 	// reads take no lock; they are protected by version validation alone.
 	commitLock bravoLock
 	stats      statCounters
-	txPool     sync.Pool
+	// txs holds one reusable Tx per thread id, grown on first use of a
+	// tid (copy-on-write under txMu, so lookups take no lock). Tids are
+	// leased slots — no two goroutines run transactions under one tid at
+	// once — so a tid's Tx is never shared, and its read/write sets and
+	// hook queues keep their high-water capacity across transactions.
+	txs  atomic.Pointer[[]*Tx]
+	txMu sync.Mutex
 	// obs, when non-nil, receives sampled latency/lifecycle observations
 	// (see obs.go). Nil keeps the hot path at one pointer check.
 	obs *obs.TxProbe
@@ -166,8 +172,32 @@ func NewRuntime(p Profile) *Runtime {
 	}
 	rt := &Runtime{prof: p}
 	rt.commitLock.arm()
-	rt.txPool.New = func() any { return newTx(rt) }
 	return rt
+}
+
+// txFor returns the Tx that transactions on tid run in. Unknown callers
+// (tid < 0) get a fresh one each time.
+func (rt *Runtime) txFor(tid int) *Tx {
+	if tid < 0 {
+		return newTx(rt)
+	}
+	if p := rt.txs.Load(); p != nil && tid < len(*p) && (*p)[tid] != nil {
+		return (*p)[tid]
+	}
+	rt.txMu.Lock()
+	defer rt.txMu.Unlock()
+	var cur []*Tx
+	if p := rt.txs.Load(); p != nil {
+		cur = *p
+	}
+	if tid < len(cur) && cur[tid] != nil {
+		return cur[tid]
+	}
+	next := make([]*Tx, max(len(cur), tid+1))
+	copy(next, cur)
+	next[tid] = newTx(rt)
+	rt.txs.Store(&next)
+	return next[tid]
 }
 
 // Profile reports the runtime's speculation profile.

@@ -127,6 +127,42 @@ func TestCounterSerializability(t *testing.T) {
 	}
 }
 
+// TestPerTidTransactions grows the per-tid Tx table from many goroutines
+// at once (tids first used out of order, concurrently) and checks that
+// every tid keeps one Tx, that the counter stays serializable, and that a
+// warm AtomicT allocates nothing.
+func TestPerTidTransactions(t *testing.T) {
+	rt := newTestRuntime()
+	var w Word
+	const tids = 16
+	const perTid = 500
+	var wg sync.WaitGroup
+	for tid := tids - 1; tid >= 0; tid-- {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < perTid; i++ {
+				rt.AtomicT(tid, func(tx *Tx) {
+					w.Store(tx, w.Load(tx)+1)
+				})
+			}
+		}(tid)
+	}
+	wg.Wait()
+	if got := w.Raw(); got != tids*perTid {
+		t.Fatalf("counter = %d, want %d", got, tids*perTid)
+	}
+	for tid := 0; tid < tids; tid++ {
+		if rt.txFor(tid) != rt.txFor(tid) {
+			t.Fatalf("tid %d has no stable Tx", tid)
+		}
+	}
+	inc := func() { rt.AtomicT(3, func(tx *Tx) { w.Store(tx, w.Load(tx)+1) }) }
+	if got := testing.AllocsPerRun(200, inc); got != 0 {
+		t.Fatalf("warm AtomicT: %.2f allocs/op, want 0", got)
+	}
+}
+
 // TestSnapshotConsistency maintains the invariant a+b == 100 under
 // concurrent transfers and checks that read-only transactions never observe
 // a torn state (opacity at the whole-transaction level).

@@ -70,18 +70,21 @@ type Tx struct {
 	conflict *atomic.Uint64 // version word that caused the last abort, if known
 }
 
-// txSeq hands out distinct slot hashes to pooled transactions; consecutive
+// txSeq hands out distinct slot hashes to per-thread transactions; consecutive
 // values multiplied by the golden-ratio constant spread across the BRAVO
 // table's index bits (Fibonacci hashing).
 var txSeq atomic.Uint64
 
 func newTx(rt *Runtime) *Tx {
+	h := txSeq.Add(1) * 0x9e3779b97f4a7c15 // odd multiplier: never 0
 	return &Tx{
-		rt:       rt,
-		rs:       make([]rentry, 0, 256),
-		ws:       make([]wentry, 0, 32),
-		rng:      0x9e3779b97f4a7c15,
-		slotHash: txSeq.Add(1) * 0x9e3779b97f4a7c15,
+		rt: rt,
+		rs: make([]rentry, 0, 256),
+		ws: make([]wentry, 0, 32),
+		// Seeded per Tx: each tid keeps its Tx, so a shared seed would
+		// draw the same scatter and backoff sequence on every thread.
+		rng:      h,
+		slotHash: h,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"hohtx/internal/arena"
 	"hohtx/internal/core"
+	"hohtx/internal/link"
 	"hohtx/internal/list"
 	"hohtx/internal/lockfree"
 	"hohtx/internal/obs"
@@ -32,32 +33,30 @@ func Structures() []string {
 }
 
 // Variants returns the mechanism labels defined for a structure: the six
-// reservation kinds, the whole-operation HTM baseline, whichever of the
-// deferred-reclamation comparators (TMHP, REF, ER) and lock-free
-// baselines (Leak, LFHP) the paper defines for it, plus the extended
-// reclamation matrix's TMHE and TMVBR (DESIGN.md §14) wherever the
-// structure supports deferred modes.
+// reservation kinds, then the other modes of link's support table (the
+// whole-operation HTM baseline, the deferred comparators TMHP, TMHE and
+// TMVBR, REF and ER) wherever the structure implements them, then the
+// lock-free baselines (Leak, LFHP) the paper defines for it.
 func Variants(structure string) []string {
-	var rr []string
-	for _, k := range core.Kinds() {
-		rr = append(rr, k.String())
+	var out []string
+	for _, m := range link.Modes(structure) {
+		if m != link.ModeRR {
+			out = append(out, m.String())
+			continue
+		}
+		for _, k := range core.Kinds() {
+			out = append(out, k.String())
+		}
 	}
-	switch structure {
-	case StructSingly:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR", "REF", "ER", "Leak", "LFHP")
-	case StructDoubly:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR")
-	case StructHash:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR", "REF", "ER")
-	case StructITree:
-		return append(rr, "HTM")
-	case StructETree:
-		return append(rr, "HTM", "TMHP", "TMHE", "TMVBR", "Leak")
-	case StructSkip:
-		return append(rr, "HTM", "TMHE", "TMVBR")
-	default:
-		return nil
-	}
+	return append(out, lockFreeVariants[structure]...)
+}
+
+// lockFreeVariants lists the lock-free baselines per structure: the
+// Harris list (leaking or with hazard pointers) and the leaking
+// Natarajan–Mittal external tree.
+var lockFreeVariants = map[string][]string{
+	StructSingly: {"Leak", "LFHP"},
+	StructETree:  {"Leak"},
 }
 
 // guardCollector gathers use-after-free events reported by the arena so a
@@ -167,231 +166,117 @@ func scanCapable(s sets.Set) bool {
 // naming its observability domain obsName.
 func buildOne(cfg Config, guard *guardCollector, obsName string) (*instance, error) {
 	inst := &instance{perKey: 1, rounds: 1, reclaim: zeroStats}
+	if cfg.Structure == StructETree {
+		inst.perKey = 2 // leaf + router
+	}
+	if cfg.Variant == "Leak" || cfg.Variant == "LFHP" {
+		return buildLockFree(cfg, inst)
+	}
+	if link.Modes(cfg.Structure) == nil {
+		return nil, fmt.Errorf("torture: unknown structure %q", cfg.Structure)
+	}
+	mode, kind, ok := link.ParseVariant(cfg.Variant)
+	if !ok {
+		return nil, fmt.Errorf("torture: unknown variant %q", cfg.Variant)
+	}
+	if !link.Supports(cfg.Structure, mode) {
+		return nil, fmt.Errorf("torture: %s is undefined for %s", cfg.Variant, cfg.Structure)
+	}
 	var sink func(arena.GuardEvent)
 	if guard != nil {
 		sink = guard.sink
 	}
-
-	rrKind, isRR := kindByName(cfg.Variant)
-
 	// Every TM-backed instance carries an always-sampled observability
 	// domain so a failed run can dump its flight recorder next to the repro
-	// line. The lock-free baselines return before it is attached.
+	// line.
 	dom := obs.NewDomain(obs.DomainConfig{
 		Name:       obsName,
 		Threads:    cfg.Threads,
 		RingEvents: 512,
 	})
+	lcfg := link.Config{
+		Mode:        mode,
+		RRKind:      kind,
+		Threads:     cfg.Threads,
+		Window:      core.Window{W: cfg.Window},
+		ArenaPolicy: cfg.Policy,
+		Guard:       cfg.Guard,
+		GuardSink:   sink,
+		Obs:         dom,
+	}
+	inst.guard = guard
+	inst.deferred = mode.Deferred()
+	if mode == link.ModeTMHP || mode == link.ModeTMHE {
+		inst.rounds = 2
+	}
+	inst.strandBound = mode == link.ModeTMHP
 
 	switch cfg.Structure {
-	case StructSingly, StructDoubly, StructHash:
-		if cfg.Variant == "Leak" || cfg.Variant == "LFHP" {
-			if cfg.Structure != StructSingly {
-				return nil, fmt.Errorf("torture: %s is undefined for %s", cfg.Variant, cfg.Structure)
-			}
-			l := lockfree.NewHarrisList(lockfree.ListConfig{
-				Threads:           cfg.Threads,
-				UseHazardPointers: cfg.Variant == "LFHP",
-				ArenaPolicy:       cfg.Policy,
-			})
-			inst.set = l
-			inst.deferred = true
-			inst.leak = cfg.Variant == "Leak"
-			if cfg.Variant == "LFHP" {
-				inst.rounds = 2
-				inst.strandBound = true
-			}
-			inst.reclaim = l.ReclaimStats
-			return measureBase(inst), nil
-		}
-		lcfg := list.Config{
-			Threads:     cfg.Threads,
-			Window:      core.Window{W: cfg.Window},
-			ArenaPolicy: cfg.Policy,
-			Guard:       cfg.Guard,
-			GuardSink:   sink,
-			Obs:         dom,
-		}
-		switch cfg.Variant {
-		case "HTM":
-			lcfg.Mode = list.ModeHTM
-		case "TMHP":
-			lcfg.Mode = list.ModeTMHP
-			inst.deferred = true
-			inst.rounds = 2
-			inst.strandBound = true
-		case "TMHE":
-			lcfg.Mode = list.ModeTMHE
-			inst.deferred = true
-			inst.rounds = 2
-		case "TMVBR":
-			lcfg.Mode = list.ModeTMVBR
-			inst.deferred = true // Flush provably drains, so one round suffices
-		case "REF":
-			if cfg.Structure == StructDoubly {
-				return nil, fmt.Errorf("torture: REF is undefined for %s", cfg.Structure)
-			}
-			lcfg.Mode = list.ModeREF
-		case "ER":
-			if cfg.Structure == StructDoubly {
-				return nil, fmt.Errorf("torture: ER is undefined for %s", cfg.Structure)
-			}
-			lcfg.Mode = list.ModeER
-			inst.deferred = true
-		default:
-			if !isRR {
-				return nil, fmt.Errorf("torture: unknown variant %q", cfg.Variant)
-			}
-			lcfg.Mode = list.ModeRR
-			lcfg.RRKind = rrKind
-		}
-		inst.guard = guard
-		switch cfg.Structure {
-		case StructSingly:
-			l := list.New(lcfg)
-			inst.set = l
-			inst.reclaim = l.ReclaimStats
-		case StructDoubly:
-			d := list.NewDoubly(lcfg)
-			inst.set = d
-			inst.reclaim = d.ReclaimStats
-			inst.validate = func() error {
-				if !d.ValidateLinks() {
-					return fmt.Errorf("prev/next link symmetry violated")
-				}
-				return nil
-			}
-		case StructHash:
-			h := list.NewHashTable(lcfg, cfg.Threads*4)
-			inst.set = h
-			inst.reclaim = h.ReclaimStats
-		}
-
-	case StructITree, StructETree:
-		if cfg.Variant == "Leak" {
-			if cfg.Structure != StructETree {
-				return nil, fmt.Errorf("torture: Leak is undefined for %s", cfg.Structure)
-			}
-			t := lockfree.NewNMTree(lockfree.NMConfig{Threads: cfg.Threads})
-			inst.set = t
-			inst.perKey = 2
-			inst.deferred = true
-			inst.leak = true
-			inst.validate = func() error {
-				if !t.ValidateRouting() {
-					return fmt.Errorf("NM-tree routing invariant violated")
-				}
-				return nil
-			}
-			return measureBase(inst), nil
-		}
-		tcfg := tree.Config{
-			Threads:     cfg.Threads,
-			Window:      core.Window{W: cfg.Window},
-			ArenaPolicy: cfg.Policy,
-			Guard:       cfg.Guard,
-			GuardSink:   sink,
-			Obs:         dom,
-		}
-		switch cfg.Variant {
-		case "HTM":
-			tcfg.Mode = tree.ModeHTM
-		case "TMHP":
-			if cfg.Structure == StructITree {
-				return nil, fmt.Errorf("torture: TMHP is undefined for %s", cfg.Structure)
-			}
-			tcfg.Mode = tree.ModeTMHP
-			inst.deferred = true
-			inst.rounds = 2
-			inst.strandBound = true
-		case "TMHE":
-			if cfg.Structure == StructITree {
-				return nil, fmt.Errorf("torture: TMHE is undefined for %s", cfg.Structure)
-			}
-			tcfg.Mode = tree.ModeTMHE
-			inst.deferred = true
-			inst.rounds = 2
-		case "TMVBR":
-			if cfg.Structure == StructITree {
-				return nil, fmt.Errorf("torture: TMVBR is undefined for %s", cfg.Structure)
-			}
-			tcfg.Mode = tree.ModeTMVBR
-			inst.deferred = true
-		default:
-			if !isRR {
-				return nil, fmt.Errorf("torture: unknown variant %q", cfg.Variant)
-			}
-			tcfg.Mode = tree.ModeRR
-			tcfg.RRKind = rrKind
-		}
-		inst.guard = guard
-		if cfg.Structure == StructITree {
-			t := tree.NewInternal(tcfg)
-			inst.set = t
-			inst.reclaim = t.ReclaimStats
-			inst.validate = func() error {
-				if !t.ValidateBST() {
-					return fmt.Errorf("BST ordering invariant violated")
-				}
-				return nil
-			}
-		} else {
-			t := tree.NewExternal(tcfg)
-			inst.set = t
-			inst.perKey = 2
-			inst.reclaim = t.ReclaimStats
-			inst.validate = func() error {
-				if !t.ValidateRouting() {
-					return fmt.Errorf("external-tree routing invariant violated")
-				}
-				return nil
-			}
-		}
-
+	case StructSingly:
+		l := list.New(lcfg)
+		inst.set, inst.reclaim = l, l.ReclaimStats
+	case StructDoubly:
+		d := list.NewDoubly(lcfg)
+		inst.set, inst.reclaim = d, d.ReclaimStats
+		inst.validate = check(d.ValidateLinks, "prev/next link symmetry violated")
+	case StructHash:
+		h := list.NewHashTable(lcfg, cfg.Threads*4)
+		inst.set, inst.reclaim = h, h.ReclaimStats
+	case StructITree:
+		t := tree.NewInternal(lcfg)
+		inst.set, inst.reclaim = t, t.ReclaimStats
+		inst.validate = check(t.ValidateBST, "BST ordering invariant violated")
+	case StructETree:
+		t := tree.NewExternal(lcfg)
+		inst.set, inst.reclaim = t, t.ReclaimStats
+		inst.validate = check(t.ValidateRouting, "external-tree routing invariant violated")
 	case StructSkip:
-		scfg := skiplist.Config{
-			Threads:     cfg.Threads,
-			Window:      core.Window{W: cfg.Window},
-			ArenaPolicy: cfg.Policy,
-			Guard:       cfg.Guard,
-			GuardSink:   sink,
-			Obs:         dom,
-		}
-		switch cfg.Variant {
-		case "HTM":
-			scfg.Mode = skiplist.ModeHTM
-		case "TMHE":
-			scfg.Mode = skiplist.ModeTMHE
-			inst.deferred = true
-			inst.rounds = 2
-		case "TMVBR":
-			scfg.Mode = skiplist.ModeTMVBR
-			inst.deferred = true
-		default:
-			if !isRR {
-				return nil, fmt.Errorf("torture: unknown variant %q", cfg.Variant)
-			}
-			scfg.Mode = skiplist.ModeRR
-			scfg.RRKind = rrKind
-		}
-		s := skiplist.New(scfg)
-		inst.set = s
-		inst.guard = guard
-		inst.reclaim = s.ReclaimStats
-		inst.validate = func() error {
-			if !s.ValidateLevels() {
-				return fmt.Errorf("skiplist level invariant violated")
-			}
-			return nil
-		}
-
-	default:
-		return nil, fmt.Errorf("torture: unknown structure %q", cfg.Structure)
+		s := skiplist.New(lcfg)
+		inst.set, inst.reclaim = s, s.ReclaimStats
+		inst.validate = check(s.ValidateLevels, "skiplist level invariant violated")
 	}
-
 	inst.obs = dom
 	inst.atomicBatch = true // every TM-backed Apply is one transaction
 	return measureBase(inst), nil
+}
+
+// buildLockFree builds the lock-free baselines: the Harris list (Leak or
+// LFHP, singly only) and the leaking Natarajan–Mittal tree (etree only).
+// They carry no observability domain and cannot run guarded.
+func buildLockFree(cfg Config, inst *instance) (*instance, error) {
+	inst.deferred = true
+	inst.leak = cfg.Variant == "Leak"
+	switch {
+	case cfg.Structure == StructSingly:
+		l := lockfree.NewHarrisList(lockfree.ListConfig{
+			Threads:           cfg.Threads,
+			UseHazardPointers: cfg.Variant == "LFHP",
+			ArenaPolicy:       cfg.Policy,
+		})
+		inst.set = l
+		if cfg.Variant == "LFHP" {
+			inst.rounds = 2
+			inst.strandBound = true
+		}
+		inst.reclaim = l.ReclaimStats
+	case cfg.Structure == StructETree && inst.leak:
+		t := lockfree.NewNMTree(lockfree.NMConfig{Threads: cfg.Threads})
+		inst.set = t
+		inst.validate = check(t.ValidateRouting, "NM-tree routing invariant violated")
+	default:
+		return nil, fmt.Errorf("torture: %s is undefined for %s", cfg.Variant, cfg.Structure)
+	}
+	return measureBase(inst), nil
+}
+
+// check adapts a boolean shape validator to the instance's error form.
+func check(valid func() bool, msg string) func() error {
+	return func() error {
+		if !valid() {
+			return fmt.Errorf("%s", msg)
+		}
+		return nil
+	}
 }
 
 // buildSharded constructs cfg.Shards independent instances and combines
@@ -491,14 +376,4 @@ func measureBase(inst *instance) *instance {
 		inst.baseLive = mr.LiveNodes()
 	}
 	return inst
-}
-
-// kindByName resolves a reservation-kind label.
-func kindByName(name string) (core.Kind, bool) {
-	for _, k := range core.Kinds() {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
 }

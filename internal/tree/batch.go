@@ -21,8 +21,8 @@ func (t *Internal) Apply(tid int, ops []sets.Op) []sets.Result {
 	if len(ops) == 0 {
 		return out
 	}
-	t.threads[tid].ops += uint64(len(ops))
-	t.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
+	t.Begin(tid, len(ops))
+	t.RT.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
 		for i, op := range ops {
 			out[i] = t.applyOneInTx(tx, tid, op)
 		}
@@ -42,13 +42,13 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 		if currH.IsNil() {
 			if op.Kind == sets.OpInsert {
 				nh := t.allocNode(tx, tid, op.Key, arena.Nil, arena.Nil)
-				child(t.ar.At(prevH), dir).Store(tx, uint64(nh))
+				child(t.Arena.At(prevH), dir).Store(tx, uint64(nh))
 				return true
 			}
 			return false
 		}
-		n := t.ar.At(currH)
-		ck := t.loadWord(tx, tid, currH, &n.key)
+		n := t.Arena.At(currH)
+		ck := t.LoadWord(tx, tid, currH, &n.key)
 		if ck == op.Key {
 			switch op.Kind {
 			case sets.OpLookup:
@@ -62,10 +62,10 @@ func (t *Internal) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 		}
 		prevH = currH
 		if op.Key < ck {
-			currH = t.loadLink(tx, tid, currH, &n.left)
+			currH = t.LoadLink(tx, tid, currH, &n.left)
 			dir = 0
 		} else {
-			currH = t.loadLink(tx, tid, currH, &n.right)
+			currH = t.LoadLink(tx, tid, currH, &n.right)
 			dir = 1
 		}
 	}
@@ -77,8 +77,8 @@ func (t *External) Apply(tid int, ops []sets.Op) []sets.Result {
 	if len(ops) == 0 {
 		return out
 	}
-	t.threads[tid].ops += uint64(len(ops))
-	t.rt.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
+	t.Begin(tid, len(ops))
+	t.RT.AtomicBatchT(tid, len(ops), func(tx *stm.Tx) {
 		for i, op := range ops {
 			out[i] = t.applyOneInTx(tx, tid, op)
 		}
@@ -99,9 +99,9 @@ func (t *External) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 	pDir, cDir := 0, 0
 	currH := t.root
 	for {
-		n := t.ar.At(currH)
-		if t.loadLink(tx, tid, currH, &n.left).IsNil() {
-			leafKey := t.loadWord(tx, tid, currH, &n.key)
+		n := t.Arena.At(currH)
+		if t.LoadLink(tx, tid, currH, &n.left).IsNil() {
+			leafKey := t.LoadWord(tx, tid, currH, &n.key)
 			switch op.Kind {
 			case sets.OpLookup:
 				return leafKey == op.Key
@@ -116,26 +116,26 @@ func (t *External) applyOneInTx(tx *stm.Tx, tid int, op sets.Op) bool {
 				} else {
 					router = t.allocNode(tx, tid, op.Key, currH, newLeaf)
 				}
-				child(t.ar.At(pH), cDir).Store(tx, uint64(router))
+				child(t.Arena.At(pH), cDir).Store(tx, uint64(router))
 				return true
 			default:
 				if leafKey != op.Key {
 					return false
 				}
-				sibling := uint64(t.loadLink(tx, tid, pH, child(t.ar.At(pH), 1-cDir)))
-				child(t.ar.At(gH), pDir).Store(tx, sibling)
-				t.reclaimNode(tx, tid, pH)
-				t.reclaimNode(tx, tid, currH)
+				sibling := uint64(t.LoadLink(tx, tid, pH, child(t.Arena.At(pH), 1-cDir)))
+				child(t.Arena.At(gH), pDir).Store(tx, sibling)
+				t.Reclaim(tx, tid, pH)
+				t.Reclaim(tx, tid, currH)
 				return true
 			}
 		}
 		gH, pDir = pH, cDir
 		pH = currH
-		if op.Key < t.loadWord(tx, tid, currH, &n.key) {
-			currH = t.loadLink(tx, tid, currH, &n.left)
+		if op.Key < t.LoadWord(tx, tid, currH, &n.key) {
+			currH = t.LoadLink(tx, tid, currH, &n.left)
 			cDir = 0
 		} else {
-			currH = t.loadLink(tx, tid, currH, &n.right)
+			currH = t.LoadLink(tx, tid, currH, &n.right)
 			cDir = 1
 		}
 		if currH.IsNil() {

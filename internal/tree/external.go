@@ -1,9 +1,8 @@
 package tree
 
 import (
-	"fmt"
-
 	"hohtx/internal/arena"
+	"hohtx/internal/link"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -23,7 +22,7 @@ import (
 // multi-revokes is why even the strict schemes fare better here than in
 // the internal tree.
 type External struct {
-	*base
+	base
 	root arena.Handle
 }
 
@@ -31,9 +30,8 @@ var _ sets.Set = (*External)(nil)
 var _ sets.MemoryReporter = (*External)(nil)
 
 // NewExternal constructs an external-tree set.
-func NewExternal(cfg Config) *External {
-	cfg = cfg.withDefaults()
-	b := newBase(cfg)
+func NewExternal(cfg link.Config) *External {
+	b := newBase(cfg, "etree")
 	t := &External{base: b}
 	l0 := b.initNode(sent0, arena.Nil, arena.Nil)
 	l1 := b.initNode(sent1, arena.Nil, arena.Nil)
@@ -41,24 +39,6 @@ func NewExternal(cfg Config) *External {
 	s := b.initNode(sent1, l0, l1)
 	t.root = b.initNode(sent2, s, l2)
 	return t
-}
-
-// Name implements sets.Set.
-func (t *External) Name() string {
-	switch t.mode {
-	case ModeRR:
-		return t.rr.Name()
-	case ModeHTM:
-		return "HTM"
-	case ModeTMHP:
-		return "TMHP"
-	case ModeTMHE:
-		return "TMHE"
-	case ModeTMVBR:
-		return "TMVBR"
-	default:
-		return fmt.Sprintf("etree-?%d", t.mode)
-	}
 }
 
 // applyExt is the hand-over-hand window engine for the external tree.
@@ -70,29 +50,22 @@ func (t *External) Name() string {
 func (t *External) applyExt(tid int, key uint64, needsDepth int,
 	onLeaf func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool) bool {
 
-	ts := &t.threads[tid]
-	ts.ops++
+	t.Begin(tid, 1)
 	var res bool
 	for {
 		done := false
-		t.rt.AtomicT(tid, func(tx *stm.Tx) {
+		t.RT.AtomicT(tid, func(tx *stm.Tx) {
 			done = false
 			res = false
-			win := t.window()
-			startH, held := t.windowStart(tx, tid, t.root)
-			var budget int
-			if held {
-				budget = win.Next()
-			} else {
-				budget = win.First(tx)
-			}
+			startH, held := t.Start(tx, tid, t.root)
+			budget := t.Budget(tx, held)
 			gH, pH := arena.Nil, arena.Nil
 			pDir, cDir := 0, 0
 			currH := startH
 			steps := 0
 			for {
-				n := t.ar.At(currH)
-				if t.loadLink(tx, tid, currH, &n.left).IsNil() {
+				n := t.Arena.At(currH)
+				if t.LoadLink(tx, tid, currH, &n.left).IsNil() {
 					// Reached a leaf.
 					depth := 0
 					if !pH.IsNil() {
@@ -102,32 +75,32 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 						depth = 2
 					}
 					if depth < needsDepth {
-						t.dropHold(tx, tid, held)
+						t.Terminal(tx, tid, held)
 						return // restart from the root next window
 					}
 					res = onLeaf(tx, gH, pH, currH, pDir, cDir)
-					t.windowTerminal(tx, tid, held)
+					t.Terminal(tx, tid, held)
 					done = true
 					return
 				}
 				if steps >= budget {
-					t.windowHold(tx, tid, held, currH)
+					t.Hold(tx, tid, held, currH, 0)
 					return
 				}
 				gH, pDir = pH, cDir
 				pH = currH
-				if key < t.loadWord(tx, tid, currH, &n.key) {
-					currH = t.loadLink(tx, tid, currH, &n.left)
+				if key < t.LoadWord(tx, tid, currH, &n.key) {
+					currH = t.LoadLink(tx, tid, currH, &n.left)
 					cDir = 0
 				} else {
-					currH = t.loadLink(tx, tid, currH, &n.right)
+					currH = t.LoadLink(tx, tid, currH, &n.right)
 					cDir = 1
 				}
 				if currH.IsNil() {
 					// A router's children are never Nil; only a poisoned
 					// link defuses to Nil. This attempt is doomed — drop
 					// the hold and retry from the root.
-					t.dropHold(tx, tid, held)
+					t.Terminal(tx, tid, held)
 					return
 				}
 				steps++
@@ -143,7 +116,7 @@ func (t *External) applyExt(tid int, key uint64, needsDepth int,
 func (t *External) Lookup(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 0,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			return t.loadWord(tx, tid, leafH, &t.ar.At(leafH).key) == key
+			return t.LoadWord(tx, tid, leafH, &t.Arena.At(leafH).key) == key
 		},
 	)
 }
@@ -155,7 +128,7 @@ func (t *External) Insert(tid int, key uint64) bool {
 	}
 	return t.applyExt(tid, key, 1,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leafKey := t.loadWord(tx, tid, leafH, &t.ar.At(leafH).key)
+			leafKey := t.LoadWord(tx, tid, leafH, &t.Arena.At(leafH).key)
 			if leafKey == key {
 				return false
 			}
@@ -166,7 +139,7 @@ func (t *External) Insert(tid int, key uint64) bool {
 			} else {
 				router = t.allocNode(tx, tid, key, leafH, newLeaf)
 			}
-			child(t.ar.At(pH), lDir).Store(tx, uint64(router))
+			child(t.Arena.At(pH), lDir).Store(tx, uint64(router))
 			return true
 		},
 	)
@@ -177,13 +150,13 @@ func (t *External) Insert(tid int, key uint64) bool {
 func (t *External) Remove(tid int, key uint64) bool {
 	return t.applyExt(tid, key, 2,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			if t.loadWord(tx, tid, leafH, &t.ar.At(leafH).key) != key {
+			if t.LoadWord(tx, tid, leafH, &t.Arena.At(leafH).key) != key {
 				return false
 			}
-			sibling := uint64(t.loadLink(tx, tid, pH, child(t.ar.At(pH), 1-lDir)))
-			child(t.ar.At(gH), pDir).Store(tx, sibling)
-			t.reclaimNode(tx, tid, pH)
-			t.reclaimNode(tx, tid, leafH)
+			sibling := uint64(t.LoadLink(tx, tid, pH, child(t.Arena.At(pH), 1-lDir)))
+			child(t.Arena.At(gH), pDir).Store(tx, sibling)
+			t.Reclaim(tx, tid, pH)
+			t.Reclaim(tx, tid, leafH)
 			return true
 		},
 	)
@@ -198,7 +171,7 @@ func (t *External) Snapshot() []uint64 {
 		if h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Arena.At(h)
 		l := arena.Handle(n.left.Raw())
 		if l.IsNil() {
 			if k := n.key.Raw(); k <= MaxKey {
@@ -224,7 +197,7 @@ func (t *External) ValidateRouting() bool {
 		if !ok || h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Arena.At(h)
 		k := n.key.Raw()
 		l := arena.Handle(n.left.Raw())
 		r := arena.Handle(n.right.Raw())

@@ -2,13 +2,10 @@ package tree
 
 import (
 	"hohtx/internal/arena"
-	"hohtx/internal/stm"
 )
 
-// Reclamation-safety hooks: version retirement (every mode) and the
-// guard-mode use-after-free sanitizer; see internal/list/guard.go for the
-// full protocol discussion. An attempt that read poison and then *commits*
-// is a true use-after-free and is reported through the arena.
+// Reclamation-safety hooks for the tree node layout; package link
+// installs them (see its guard.go for the protocol).
 
 // retireNode lifts every cell version of a freed tree node to the fence;
 // see stm.Word.Retire. Installed for every mode, not just guard runs.
@@ -27,34 +24,3 @@ func poisonNode(n *node) {
 	n.right.Poison(arena.PoisonWord)
 	n.dead.Poison(arena.PoisonWord)
 }
-
-// notePoison records a poison read on h and arms commit-gated violation
-// reporting for the current attempt.
-func (b *base) notePoison(tx *stm.Tx, tid int, h arena.Handle) {
-	b.ar.NotePoisonRead(h)
-	tx.OnCommit(func() { b.ar.ReportUAF(tid, h) })
-}
-
-// loadWord transactionally loads a value word of the node named by h,
-// checking for the poison sentinel in guard mode.
-func (b *base) loadWord(tx *stm.Tx, tid int, h arena.Handle, w *stm.Word) uint64 {
-	v := w.Load(tx)
-	if b.guard && v == arena.PoisonWord {
-		b.notePoison(tx, tid, h)
-	}
-	return v
-}
-
-// loadLink is loadWord for handle-bearing cells; poison defuses to Nil so
-// a benign doomed reader stops descending instead of panicking in arena.At.
-func (b *base) loadLink(tx *stm.Tx, tid int, h arena.Handle, w *stm.Word) arena.Handle {
-	v := w.Load(tx)
-	if b.guard && v == arena.PoisonWord {
-		b.notePoison(tx, tid, h)
-		return arena.Nil
-	}
-	return arena.Handle(v)
-}
-
-// GuardStats exposes the arena sanitizer counters (zero when guard is off).
-func (b *base) GuardStats() arena.GuardStats { return b.ar.GuardStats() }

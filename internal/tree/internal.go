@@ -1,9 +1,8 @@
 package tree
 
 import (
-	"fmt"
-
 	"hohtx/internal/arena"
+	"hohtx/internal/link"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -13,33 +12,18 @@ import (
 // first real node is always a left child and removal of the topmost real
 // node needs no special case.
 type Internal struct {
-	*base
+	base
 	root arena.Handle // sentinel; the tree hangs off its left child
 }
 
 var _ sets.Set = (*Internal)(nil)
 var _ sets.MemoryReporter = (*Internal)(nil)
 
-// NewInternal constructs an internal-tree set.
-func NewInternal(cfg Config) *Internal {
-	cfg = cfg.withDefaults()
-	if cfg.Mode == ModeTMHP || cfg.Mode == ModeTMHE || cfg.Mode == ModeTMVBR {
-		panic("tree: the deferred-reclamation modes are only implemented for the external tree")
-	}
-	b := newBase(cfg)
+// NewInternal constructs an internal-tree set (ModeRR or ModeHTM: the
+// paper knows of no internal trees using deferred reclamation).
+func NewInternal(cfg link.Config) *Internal {
+	b := newBase(cfg, "itree")
 	return &Internal{base: b, root: b.initNode(sent2, arena.Nil, arena.Nil)}
-}
-
-// Name implements sets.Set.
-func (t *Internal) Name() string {
-	switch t.mode {
-	case ModeRR:
-		return t.rr.Name()
-	case ModeHTM:
-		return "HTM"
-	default:
-		return fmt.Sprintf("itree-?%d", t.mode)
-	}
 }
 
 // child returns the dir-selected child cell of n (0 left, 1 right).
@@ -61,55 +45,48 @@ func (t *Internal) apply(tid int, key uint64, needsParent bool,
 	onFound func(tx *stm.Tx, parentH, currH arena.Handle, dir int) bool,
 	onMissing func(tx *stm.Tx, parentH arena.Handle, dir int) bool) bool {
 
-	ts := &t.threads[tid]
-	ts.ops++
+	t.Begin(tid, 1)
 	var res bool
 	for {
 		done := false
-		t.rt.AtomicT(tid, func(tx *stm.Tx) {
+		t.RT.AtomicT(tid, func(tx *stm.Tx) {
 			done = false
 			res = false
-			win := t.window()
-			startH, held := t.windowStart(tx, tid, t.root)
-			var budget int
-			if held {
-				budget = win.Next()
-			} else {
-				budget = win.First(tx)
-			}
+			startH, held := t.Start(tx, tid, t.root)
+			budget := t.Budget(tx, held)
 			prevH, currH := arena.Nil, startH
 			dir := 0
 			steps := 0
 			for {
 				if currH.IsNil() {
 					res = onMissing(tx, prevH, dir)
-					t.windowTerminal(tx, tid, held)
+					t.Terminal(tx, tid, held)
 					done = true
 					return
 				}
-				n := t.ar.At(currH)
-				ck := t.loadWord(tx, tid, currH, &n.key)
+				n := t.Arena.At(currH)
+				ck := t.LoadWord(tx, tid, currH, &n.key)
 				if ck == key {
 					if needsParent && prevH.IsNil() {
 						// Matched at the resumed start: ancestors unknown.
-						t.dropHold(tx, tid, held)
+						t.Terminal(tx, tid, held)
 						return // done=false: restart from the root
 					}
 					res = onFound(tx, prevH, currH, dir)
-					t.windowTerminal(tx, tid, held)
+					t.Terminal(tx, tid, held)
 					done = true
 					return
 				}
 				if steps >= budget {
-					t.windowHold(tx, tid, held, currH)
+					t.Hold(tx, tid, held, currH, 0)
 					return // hand over to the next window at currH
 				}
 				prevH = currH
 				if key < ck {
-					currH = t.loadLink(tx, tid, currH, &n.left)
+					currH = t.LoadLink(tx, tid, currH, &n.left)
 					dir = 0
 				} else {
-					currH = t.loadLink(tx, tid, currH, &n.right)
+					currH = t.LoadLink(tx, tid, currH, &n.right)
 					dir = 1
 				}
 				steps++
@@ -138,7 +115,7 @@ func (t *Internal) Insert(tid int, key uint64) bool {
 		func(tx *stm.Tx, parentH, currH arena.Handle, dir int) bool { return false },
 		func(tx *stm.Tx, parentH arena.Handle, dir int) bool {
 			nh := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
-			child(t.ar.At(parentH), dir).Store(tx, uint64(nh))
+			child(t.Arena.At(parentH), dir).Store(tx, uint64(nh))
 			return true
 		},
 	)
@@ -160,19 +137,19 @@ func (t *Internal) Remove(tid int, key uint64) bool {
 // removeFound deletes the matched node vH (the dir-child of parentH),
 // dispatching on its child count.
 func (t *Internal) removeFound(tx *stm.Tx, tid int, parentH, vH arena.Handle, dir int) {
-	v := t.ar.At(vH)
-	lH := t.loadLink(tx, tid, vH, &v.left)
-	rH := t.loadLink(tx, tid, vH, &v.right)
+	v := t.Arena.At(vH)
+	lH := t.LoadLink(tx, tid, vH, &v.left)
+	rH := t.LoadLink(tx, tid, vH, &v.right)
 	switch {
 	case lH.IsNil() && rH.IsNil():
-		child(t.ar.At(parentH), dir).Store(tx, 0)
-		t.reclaimNode(tx, tid, vH)
+		child(t.Arena.At(parentH), dir).Store(tx, 0)
+		t.Reclaim(tx, tid, vH)
 	case lH.IsNil():
-		child(t.ar.At(parentH), dir).Store(tx, uint64(rH))
-		t.reclaimNode(tx, tid, vH)
+		child(t.Arena.At(parentH), dir).Store(tx, uint64(rH))
+		t.Reclaim(tx, tid, vH)
 	case rH.IsNil():
-		child(t.ar.At(parentH), dir).Store(tx, uint64(lH))
-		t.reclaimNode(tx, tid, vH)
+		child(t.Arena.At(parentH), dir).Store(tx, uint64(lH))
+		t.Reclaim(tx, tid, vH)
 	default:
 		t.removeTwoChildren(tx, tid, vH, rH)
 	}
@@ -183,40 +160,33 @@ func (t *Internal) removeFound(tx *stm.Tx, tid int, parentH, vH arena.Handle, di
 // successor — whose subtree regions are the only ones the upward key move
 // invalidates — is revoked so resumed traversals in that region restart.
 func (t *Internal) removeTwoChildren(tx *stm.Tx, tid int, vH, rH arena.Handle) {
-	if t.mode == ModeRR {
-		// The victim's key changes: reservations on it become unsafe.
-		t.rr.Revoke(tx, uint64(vH))
-	}
+	// The victim's key changes: holds on it become unsafe.
+	t.Revoke(tx, vH)
 	// Walk to the leftmost descendant of the right child, revoking the
 	// path as we go (this is the multi-Revoke cost Figure 6 studies).
 	parentOfL := vH
 	lH := rH
 	for {
-		if t.mode == ModeRR {
-			t.rr.Revoke(tx, uint64(lH))
-		}
-		next := t.loadLink(tx, tid, lH, &t.ar.At(lH).left)
+		next := t.LoadLink(tx, tid, lH, &t.Arena.At(lH).left)
 		if next.IsNil() {
 			break
 		}
+		t.Revoke(tx, lH)
 		parentOfL = lH
 		lH = next
 	}
-	l := t.ar.At(lH)
+	l := t.Arena.At(lH)
 	// Move the successor's key up, then splice the successor out by
 	// promoting its right child.
-	t.ar.At(vH).key.Store(tx, t.loadWord(tx, tid, lH, &l.key))
-	promoted := uint64(t.loadLink(tx, tid, lH, &l.right))
+	t.Arena.At(vH).key.Store(tx, t.LoadWord(tx, tid, lH, &l.key))
+	promoted := uint64(t.LoadLink(tx, tid, lH, &l.right))
 	if parentOfL == vH {
-		t.ar.At(vH).right.Store(tx, promoted)
+		t.Arena.At(vH).right.Store(tx, promoted)
 	} else {
-		t.ar.At(parentOfL).left.Store(tx, promoted)
+		t.Arena.At(parentOfL).left.Store(tx, promoted)
 	}
-	// The extracted node was already revoked in the walk above.
-	switch t.mode {
-	case ModeRR, ModeHTM:
-		tx.OnCommit(func() { t.ar.Free(tid, lH) })
-	}
+	// The extracted node ends the revoked path and is reclaimed.
+	t.Reclaim(tx, tid, lH)
 }
 
 // Snapshot implements sets.Set via an in-order walk (quiescence required).
@@ -227,12 +197,12 @@ func (t *Internal) Snapshot() []uint64 {
 		if h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Arena.At(h)
 		walk(arena.Handle(n.left.Raw()))
 		out = append(out, n.key.Raw())
 		walk(arena.Handle(n.right.Raw()))
 	}
-	walk(arena.Handle(t.ar.At(t.root).left.Raw()))
+	walk(arena.Handle(t.Arena.At(t.root).left.Raw()))
 	return out
 }
 
@@ -245,7 +215,7 @@ func (t *Internal) ValidateBST() bool {
 		if h.IsNil() || !ok {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Arena.At(h)
 		k := n.key.Raw()
 		if k < lo || k >= hi {
 			ok = false
@@ -254,6 +224,6 @@ func (t *Internal) ValidateBST() bool {
 		walk(arena.Handle(n.left.Raw()), lo, k)
 		walk(arena.Handle(n.right.Raw()), k+1, hi)
 	}
-	walk(arena.Handle(t.ar.At(t.root).left.Raw()), 0, sent2)
+	walk(arena.Handle(t.Arena.At(t.root).left.Raw()), 0, sent2)
 	return ok
 }

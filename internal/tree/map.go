@@ -2,6 +2,7 @@ package tree
 
 import (
 	"hohtx/internal/arena"
+	"hohtx/internal/link"
 	"hohtx/internal/sets"
 	"hohtx/internal/stm"
 )
@@ -14,9 +15,9 @@ import (
 // its final window's snapshot.
 //
 // Routers never carry values; a leaf's value cell lives in the node's
-// otherwise-unused dead Word (the external tree uses TMHP's dead flag only
-// for routers/leaves under ModeTMHP, which the Map forbids — it requires a
-// precise mode, keeping the value cell free).
+// otherwise-unused dead Word (the external tree uses the dead mark only
+// under the deferred modes, which the Map forbids — it requires a precise
+// mode, keeping the value cell free).
 type Map struct {
 	t *External
 }
@@ -24,8 +25,8 @@ type Map struct {
 // NewMap constructs an ordered map. cfg.Mode must be ModeRR or ModeHTM
 // (the deferred-reclamation modes would alias the value storage and are
 // not what a map user wants anyway).
-func NewMap(cfg Config) *Map {
-	if cfg.Mode == ModeTMHP || cfg.Mode == ModeTMHE || cfg.Mode == ModeTMVBR {
+func NewMap(cfg link.Config) *Map {
+	if cfg.Mode.Deferred() {
 		panic("tree: Map requires ModeRR or ModeHTM")
 	}
 	return &Map{t: NewExternal(cfg)}
@@ -52,7 +53,7 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 	t := m.t
 	res := t.applyExt(tid, key, 1,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.ar.At(leafH)
+			leaf := t.Arena.At(leafH)
 			if leaf.key.Load(tx) == key {
 				cell := valueCell(leaf)
 				prev = cell.Load(tx)
@@ -60,7 +61,7 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 				return true
 			}
 			newLeaf := t.allocNode(tx, tid, key, arena.Nil, arena.Nil)
-			valueCell(t.ar.At(newLeaf)).Store(tx, val)
+			valueCell(t.Arena.At(newLeaf)).Store(tx, val)
 			leafKey := leaf.key.Load(tx)
 			var router arena.Handle
 			if key < leafKey {
@@ -68,7 +69,7 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 			} else {
 				router = t.allocNode(tx, tid, key, leafH, newLeaf)
 			}
-			child(t.ar.At(pH), lDir).Store(tx, uint64(router))
+			child(t.Arena.At(pH), lDir).Store(tx, uint64(router))
 			return false
 		},
 	)
@@ -81,7 +82,7 @@ func (m *Map) Get(tid int, key uint64) (uint64, bool) {
 	var val uint64
 	ok := t.applyExt(tid, key, 0,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.ar.At(leafH)
+			leaf := t.Arena.At(leafH)
 			if leaf.key.Load(tx) != key {
 				return false
 			}
@@ -99,15 +100,15 @@ func (m *Map) Delete(tid int, key uint64) (uint64, bool) {
 	var val uint64
 	ok := t.applyExt(tid, key, 2,
 		func(tx *stm.Tx, gH, pH, leafH arena.Handle, pDir, lDir int) bool {
-			leaf := t.ar.At(leafH)
+			leaf := t.Arena.At(leafH)
 			if leaf.key.Load(tx) != key {
 				return false
 			}
 			val = valueCell(leaf).Load(tx)
-			sibling := child(t.ar.At(pH), 1-lDir).Load(tx)
-			child(t.ar.At(gH), pDir).Store(tx, sibling)
-			t.reclaimNode(tx, tid, pH)
-			t.reclaimNode(tx, tid, leafH)
+			sibling := child(t.Arena.At(pH), 1-lDir).Load(tx)
+			child(t.Arena.At(gH), pDir).Store(tx, sibling)
+			t.Reclaim(tx, tid, pH)
+			t.Reclaim(tx, tid, leafH)
 			return true
 		},
 	)
@@ -126,7 +127,7 @@ func (m *Map) Entries() (keys, vals []uint64) {
 		if h.IsNil() {
 			return
 		}
-		n := t.ar.At(h)
+		n := t.Arena.At(h)
 		l := arena.Handle(n.left.Raw())
 		if l.IsNil() {
 			if k := n.key.Raw(); k <= MaxKey {

@@ -19,33 +19,10 @@
 package tree
 
 import (
-	"sync/atomic"
-
 	"hohtx/internal/arena"
-	"hohtx/internal/core"
-	"hohtx/internal/obs"
+	"hohtx/internal/link"
 	"hohtx/internal/pad"
-	"hohtx/internal/reclaim"
 	"hohtx/internal/stm"
-)
-
-// Mode selects the synchronization/reclamation mechanism.
-type Mode uint8
-
-const (
-	// ModeRR is hand-over-hand transactions with revocable reservations.
-	ModeRR Mode = iota
-	// ModeHTM performs each operation in one transaction.
-	ModeHTM
-	// ModeTMHP is hand-over-hand with hazard pointers (external tree
-	// only; the paper knows of no internal trees using hazard pointers).
-	ModeTMHP
-	// ModeTMHE is hand-over-hand with hazard eras (external tree only,
-	// like TMHP, whose window protocol it shares).
-	ModeTMHE
-	// ModeTMVBR is hand-over-hand with version-based reclamation
-	// (external tree only); no reservations, resumes revalidate.
-	ModeTMVBR
 )
 
 // sentinel keys; user keys must be below sent0.
@@ -64,176 +41,33 @@ type node struct {
 	key   stm.Word
 	left  stm.Word // arena.Handle bits
 	right stm.Word
-	dead  stm.Word // TMHP logical-deletion mark
+	dead  stm.Word // deferred modes' logical-deletion mark
 	_     pad.Line
 }
 
-type threadState struct {
-	start  arena.Handle
-	parity int
-	ops    uint64
-	_      pad.Line
-}
-
-// Config parameterizes tree construction.
-type Config struct {
-	// Mode selects the mechanism; default ModeRR.
-	Mode Mode
-	// RRKind selects the reservation implementation for ModeRR.
-	RRKind core.Kind
-	// Threads is the number of distinct tids. Required.
-	Threads int
-	// Window is the hand-over-hand window policy; ignored for ModeHTM.
-	Window core.Window
-	// Profile overrides the TM profile; the zero value uses the paper's
-	// tree setting (serial fallback after 8 attempts, §5).
-	Profile stm.Profile
-	// ArenaPolicy selects the allocator free-list policy.
-	ArenaPolicy arena.Policy
-	// ScanThreshold is the retire batch size for the deferred modes
-	// (ModeTMHP/ModeTMHE scans, ModeTMVBR self-tick cadence).
-	ScanThreshold int
-	// TableBits/Assoc size the reservation metadata (see core.Config).
-	TableBits int
-	Assoc     int
-	// YieldShift enables simulated preemption inside transactions (see
-	// stm.Profile.YieldShift); it composes with whatever Profile is in
-	// effect.
-	YieldShift uint8
-	// ClockPolicy selects the TM global-clock policy (see
-	// stm.Profile.ClockPolicy); composes with the Profile like YieldShift.
-	ClockPolicy stm.ClockPolicy
-	// Guard enables the arena use-after-free sanitizer (see guard.go and
-	// the identically named field in package list).
-	Guard bool
-	// GuardSink receives guard violations instead of the default panic.
-	GuardSink func(arena.GuardEvent)
-	// Obs, when non-nil, threads the observability domain through every
-	// layer the tree owns (see the identically named field in package
-	// list). Nil keeps every instrumented site at a single nil/branch
-	// check.
-	Obs *obs.Domain
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 8
-	}
-	if c.Profile == (stm.Profile{}) {
-		c.Profile = stm.HTMProfile(8)
-	}
-	if c.YieldShift != 0 {
-		c.Profile.YieldShift = c.YieldShift
-	}
-	if c.ClockPolicy != 0 {
-		c.Profile.ClockPolicy = c.ClockPolicy
-	}
-	if c.Window.W == 0 && c.Mode != ModeHTM {
-		c.Window.W = 16
-	}
-	if c.Mode == ModeHTM {
-		c.Window = core.Window{}
-	}
-	if c.ScanThreshold <= 0 {
-		c.ScanThreshold = reclaim.DefaultScanThreshold
-	}
-	return c
-}
-
-// base carries the machinery shared by the internal and external trees.
+// base carries the node machinery shared by the internal and external
+// trees; the window protocol is link.Base's.
 type base struct {
-	rt          *stm.Runtime
-	ar          *arena.Arena[node]
-	rr          core.Reservation
-	hp          *reclaim.HazardPointers
-	he          *reclaim.HazardEras
-	vbr         *reclaim.VBR
-	mode        Mode
-	win         core.Window
-	winOverride atomic.Int32
-	threads     []threadState
-	guard       bool
-	obs         *obs.Domain
+	*link.Base[node]
 }
 
-func newBase(cfg Config) *base {
-	b := &base{
-		rt: stm.NewRuntime(cfg.Profile),
-		ar: arena.New[node](arena.Config{
-			Policy: cfg.ArenaPolicy, Threads: cfg.Threads,
-			Guard: cfg.Guard, AccessCheck: cfg.GuardSink,
-		}),
-		mode:    cfg.Mode,
-		win:     cfg.Window,
-		threads: make([]threadState, cfg.Threads),
-		guard:   cfg.Guard,
-	}
-	b.ar.SetRetire(func(n *node) { retireNode(n, b.rt.VersionFence()) })
-	if cfg.Guard {
-		b.ar.SetPoison(poisonNode)
-	}
-	switch cfg.Mode {
-	case ModeRR:
-		b.rr = core.New(cfg.RRKind, core.Config{
-			Threads: cfg.Threads, TableBits: cfg.TableBits, Assoc: cfg.Assoc,
-		})
-	case ModeTMHP:
-		b.hp = reclaim.NewHazardPointers(reclaim.HPConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { b.ar.Free(tid, h) },
-		})
-	case ModeTMHE:
-		b.he = reclaim.NewHazardEras(reclaim.HEConfig{
-			Threads:        cfg.Threads,
-			SlotsPerThread: 2,
-			ScanThreshold:  cfg.ScanThreshold,
-			Free:           func(tid int, h arena.Handle) { b.ar.Free(tid, h) },
-		})
-	case ModeTMVBR:
-		b.vbr = reclaim.NewVBR(reclaim.VBRConfig{
-			Threads:   cfg.Threads,
-			TickEvery: cfg.ScanThreshold,
-			Clock:     b.rt.VersionFence,
-			Tick:      b.rt.TickVersionFence,
-			Free:      func(tid int, h arena.Handle) { b.ar.Free(tid, h) },
-		})
-	}
-	if cfg.Obs != nil {
-		b.obs = cfg.Obs
-		b.rt.SetObserver(cfg.Obs.TxProbe())
-		b.ar.SetObserver(cfg.Obs.AllocProbe())
-		if b.rr != nil {
-			b.rr = core.Observed(b.rr, cfg.Obs.HoldProbe(), cfg.Threads)
-		}
-		if b.hp != nil {
-			b.hp.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return b.hp.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return b.hp.Stats().PeakDeferred })
-		}
-		if b.he != nil {
-			b.he.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return b.he.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return b.he.Stats().PeakDeferred })
-		}
-		if b.vbr != nil {
-			b.vbr.SetObserver(cfg.Obs.ReclaimProbe())
-			cfg.Obs.Gauge("deferred_depth", func() uint64 { return b.vbr.Stats().Deferred })
-			cfg.Obs.Gauge("peak_deferred", func() uint64 { return b.vbr.Stats().PeakDeferred })
-		}
-	}
-	return b
+// newBase builds the shared base for family ("itree" or "etree"). The
+// zero Config window means W = 16, and the zero profile the paper's tree
+// setting: serial fallback after 8 attempts (§5).
+func newBase(cfg link.Config, family string) base {
+	return base{link.New(cfg, link.Layout[node]{
+		Family: family, Attempts: 8, Window: 16,
+		Dead:   func(n *node) *stm.Word { return &n.dead },
+		Retire: retireNode,
+		Poison: poisonNode,
+	})}
 }
-
-// ObsDomain returns the attached observability domain (nil when detached).
-func (b *base) ObsDomain() *obs.Domain { return b.obs }
 
 // initNode allocates a sentinel-phase node with non-transactional Init
 // (construction only: the node has never been shared).
-func (b *base) initNode(key uint64, left, right arena.Handle) arena.Handle {
-	h := b.ar.Alloc(0)
-	n := b.ar.At(h)
+func (b base) initNode(key uint64, left, right arena.Handle) arena.Handle {
+	h := b.Arena.Alloc(0)
+	n := b.Arena.At(h)
 	n.key.Init(key)
 	n.left.Init(uint64(left))
 	n.right.Init(uint64(right))
@@ -243,261 +77,12 @@ func (b *base) initNode(key uint64, left, right arena.Handle) arena.Handle {
 
 // allocNode allocates and transactionally initializes a node (recycled
 // slots require transactional stores; see package arena).
-func (b *base) allocNode(tx *stm.Tx, tid int, key uint64, left, right arena.Handle) arena.Handle {
-	h := b.ar.Alloc(tid)
-	if b.he != nil {
-		b.he.StampAlloc(h)
-	}
-	tx.OnAbort(func() { b.ar.Free(tid, h) })
-	n := b.ar.At(h)
+func (b base) allocNode(tx *stm.Tx, tid int, key uint64, left, right arena.Handle) arena.Handle {
+	h := b.Alloc(tx, tid)
+	n := b.Arena.At(h)
 	n.key.Store(tx, key)
 	n.left.Store(tx, uint64(left))
 	n.right.Store(tx, uint64(right))
 	n.dead.Store(tx, 0)
 	return h
-}
-
-// Runtime exposes the tree's TM runtime.
-func (b *base) Runtime() *stm.Runtime { return b.rt }
-
-// SetWindow changes the hand-over-hand window size at runtime (0 restores
-// the configured value); see the identically named method in package list.
-func (b *base) SetWindow(w int) { b.winOverride.Store(int32(w)) }
-
-// window returns the effective window policy for a new transaction.
-func (b *base) window() core.Window {
-	win := b.win
-	if o := b.winOverride.Load(); o > 0 {
-		win.W = int(o)
-	}
-	return win
-}
-
-// Register implements part of sets.Set.
-func (b *base) Register(tid int) {
-	if b.rr != nil {
-		b.rr.Register(tid)
-	}
-}
-
-// Finish implements part of sets.Set.
-func (b *base) Finish(tid int) {
-	if b.hp != nil {
-		b.hp.ClearSlots(tid)
-		b.hp.Flush(tid, b.threads[tid].ops)
-	}
-	if b.he != nil {
-		b.he.ClearSlots(tid)
-		b.he.Flush(tid, b.threads[tid].ops)
-	}
-	if b.vbr != nil {
-		b.vbr.Flush(tid, b.threads[tid].ops)
-	}
-}
-
-// TxCommits reports committed transactions (benchmark statistics).
-func (b *base) TxCommits() uint64 { return b.rt.Stats().Commits }
-
-// TxAborts reports aborted transaction attempts.
-func (b *base) TxAborts() uint64 { return b.rt.Stats().TotalAborts() }
-
-// TxSerial reports serial-mode commits (HTM-fallback events).
-func (b *base) TxSerial() uint64 { return b.rt.Stats().SerialCommits }
-
-// TMStats returns the full TM statistics snapshot (per-cause aborts,
-// clock and commit-lock counters).
-func (b *base) TMStats() stm.Stats { return b.rt.Stats() }
-
-// deferredScheme returns the tree's deferred-reclamation scheme, nil for
-// the precise modes.
-func (b *base) deferredScheme() reclaim.Scheme {
-	switch {
-	case b.hp != nil:
-		return b.hp
-	case b.he != nil:
-		return b.he
-	case b.vbr != nil:
-		return b.vbr
-	}
-	return nil
-}
-
-// PeakDeferred reports the reclamation scheme's deferred high-water mark.
-func (b *base) PeakDeferred() uint64 {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats().PeakDeferred
-	}
-	return 0
-}
-
-// ReclaimStats exposes the deferred-reclamation counters (zero for the
-// precise modes).
-func (b *base) ReclaimStats() reclaim.Stats {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats()
-	}
-	return reclaim.Stats{}
-}
-
-// AvgReclaimDelayOps reports the mean operations between logical deletion
-// and physical free (0 for the precise modes).
-func (b *base) AvgReclaimDelayOps() float64 {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats().AvgDelayOps()
-	}
-	return 0
-}
-
-// LiveNodes implements sets.MemoryReporter.
-func (b *base) LiveNodes() uint64 { return b.ar.Stats().Live }
-
-// DeferredNodes implements sets.MemoryReporter.
-func (b *base) DeferredNodes() uint64 {
-	if s := b.deferredScheme(); s != nil {
-		return s.Stats().Deferred
-	}
-	return 0
-}
-
-// windowStart resolves the window's starting node; see the identically
-// named helper in package list for the protocol discussion.
-func (b *base) windowStart(tx *stm.Tx, tid int, root arena.Handle) (arena.Handle, bool) {
-	switch b.mode {
-	case ModeRR:
-		if r := b.rr.Get(tx, tid); r != 0 {
-			return arena.Handle(r), true
-		}
-		return root, false
-	case ModeTMHP, ModeTMHE:
-		s := b.threads[tid].start
-		if s.IsNil() {
-			return root, false
-		}
-		if b.loadWord(tx, tid, s, &b.ar.At(s).dead) != 0 {
-			return root, false
-		}
-		return s, true
-	case ModeTMVBR:
-		// Nothing pins the held start between windows; bracket the dead
-		// load with arena-generation checks (see the list engine's
-		// protocol note).
-		s := b.threads[tid].start
-		if s.IsNil() || !b.ar.Live(s) {
-			return root, false
-		}
-		if b.loadWord(tx, tid, s, &b.ar.At(s).dead) != 0 {
-			return root, false
-		}
-		if !b.ar.Live(s) {
-			return root, false
-		}
-		return s, true
-	default:
-		return root, false
-	}
-}
-
-// windowHold attaches the traversal's hold to currH for resumption.
-func (b *base) windowHold(tx *stm.Tx, tid int, held bool, currH arena.Handle) {
-	ts := &b.threads[tid]
-	switch b.mode {
-	case ModeRR:
-		if held {
-			b.rr.Release(tx, tid)
-		}
-		b.rr.Reserve(tx, tid, uint64(currH))
-	case ModeTMHP:
-		slot := ts.parity & 1
-		b.hp.Protect(tid, slot, currH)
-		_ = b.loadWord(tx, tid, currH, &b.ar.At(currH).dead) // ordering re-check (see list)
-		tx.OnCommit(func() {
-			ts.start = currH
-			b.hp.Protect(tid, slot^1, 0)
-			ts.parity++
-		})
-	case ModeTMHE:
-		slot := ts.parity & 1
-		b.he.Protect(tid, slot, currH)
-		_ = b.loadWord(tx, tid, currH, &b.ar.At(currH).dead) // ordering re-check (see list)
-		tx.OnCommit(func() {
-			ts.start = currH
-			b.he.Protect(tid, slot^1, 0)
-			ts.parity++
-		})
-	case ModeTMVBR:
-		tx.OnCommit(func() { ts.start = currH })
-	}
-}
-
-// windowTerminal drops the hold at operation end.
-func (b *base) windowTerminal(tx *stm.Tx, tid int, held bool) {
-	ts := &b.threads[tid]
-	switch b.mode {
-	case ModeRR:
-		if held {
-			b.rr.Release(tx, tid)
-		}
-	case ModeTMHP:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.hp.ClearSlots(tid)
-		})
-	case ModeTMHE:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.he.ClearSlots(tid)
-		})
-	case ModeTMVBR:
-		tx.OnCommit(func() { ts.start = arena.Nil })
-	}
-}
-
-// dropHold abandons a resumed position so the next window restarts from
-// the root (used when a resumed window cannot learn the ancestors an
-// update needs).
-func (b *base) dropHold(tx *stm.Tx, tid int, held bool) {
-	ts := &b.threads[tid]
-	switch b.mode {
-	case ModeRR:
-		if held {
-			b.rr.Release(tx, tid)
-		}
-	case ModeTMHP:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.hp.ClearSlots(tid)
-		})
-	case ModeTMHE:
-		tx.OnCommit(func() {
-			ts.start = arena.Nil
-			b.he.ClearSlots(tid)
-		})
-	case ModeTMVBR:
-		tx.OnCommit(func() { ts.start = arena.Nil })
-	}
-}
-
-// reclaimNode frees h per the tree's mode, revoking reservations first
-// for ModeRR (precise reclamation) or marking and retiring for the
-// deferred modes.
-func (b *base) reclaimNode(tx *stm.Tx, tid int, h arena.Handle) {
-	switch b.mode {
-	case ModeRR:
-		b.rr.Revoke(tx, uint64(h))
-		tx.OnCommit(func() { b.ar.Free(tid, h) })
-	case ModeHTM:
-		tx.OnCommit(func() { b.ar.Free(tid, h) })
-	case ModeTMHP:
-		b.ar.At(h).dead.Store(tx, 1)
-		stamp := b.threads[tid].ops
-		tx.OnCommit(func() { b.hp.Retire(tid, h, stamp) })
-	case ModeTMHE:
-		b.ar.At(h).dead.Store(tx, 1)
-		stamp := b.threads[tid].ops
-		tx.OnCommit(func() { b.he.Retire(tid, h, stamp) })
-	case ModeTMVBR:
-		b.ar.At(h).dead.Store(tx, 1)
-		stamp := b.threads[tid].ops
-		tx.OnCommit(func() { b.vbr.Retire(tid, h, stamp) })
-	}
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"hohtx/internal/link"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -21,31 +22,31 @@ type treeUnderTest struct {
 
 func internalVariants(threads, w int) []treeUnderTest {
 	var out []treeUnderTest
-	mk := func(cfg Config) treeUnderTest {
+	mk := func(cfg link.Config) treeUnderTest {
 		t := NewInternal(cfg)
 		return treeUnderTest{s: t, mem: t, validate: t.ValidateBST, sentinels: 1}
 	}
 	for _, k := range core.Kinds() {
-		out = append(out, mk(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
+		out = append(out, mk(link.Config{Mode: link.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
 	}
-	out = append(out, mk(Config{Mode: ModeHTM, Threads: threads}))
+	out = append(out, mk(link.Config{Mode: link.ModeHTM, Threads: threads}))
 	return out
 }
 
 func externalVariants(threads, w int) []treeUnderTest {
 	var out []treeUnderTest
-	mk := func(cfg Config) treeUnderTest {
+	mk := func(cfg link.Config) treeUnderTest {
 		t := NewExternal(cfg)
 		return treeUnderTest{s: t, mem: t, validate: t.ValidateRouting, sentinels: 5}
 	}
 	for _, k := range core.Kinds() {
-		out = append(out, mk(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
+		out = append(out, mk(link.Config{Mode: link.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: w}}))
 	}
 	out = append(out,
-		mk(Config{Mode: ModeHTM, Threads: threads}),
-		mk(Config{Mode: ModeTMHP, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		mk(Config{Mode: ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
-		mk(Config{Mode: ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		mk(link.Config{Mode: link.ModeHTM, Threads: threads}),
+		mk(link.Config{Mode: link.ModeTMHP, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		mk(link.Config{Mode: link.ModeTMHE, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
+		mk(link.Config{Mode: link.ModeTMVBR, Threads: threads, Window: core.Window{W: w}, ScanThreshold: 8}),
 	)
 	return out
 }
@@ -114,7 +115,7 @@ func variantFamily(v treeUnderTest) string {
 // right subtree to promote.
 func TestTwoChildrenRemovalCases(t *testing.T) {
 	for _, k := range core.Kinds() {
-		tr := NewInternal(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 4}})
+		tr := NewInternal(link.Config{Mode: link.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 4}})
 		t.Run(tr.Name(), func(t *testing.T) {
 			tr.Register(0)
 			// Case 1: successor is the right child (no left descent).
@@ -192,7 +193,7 @@ func TestSequentialVsModel(t *testing.T) {
 // TestPreciseReclamationInternal checks immediate reclamation through the
 // two-children removal path (which frees the extracted successor node).
 func TestPreciseReclamationInternal(t *testing.T) {
-	tr := NewInternal(Config{Mode: ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 8}})
+	tr := NewInternal(link.Config{Mode: link.ModeRR, RRKind: core.KindXO, Threads: 1, Window: core.Window{W: 8}})
 	tr.Register(0)
 	for k := uint64(1); k <= 64; k++ {
 		tr.Insert(0, k)
@@ -216,7 +217,7 @@ func TestPreciseReclamationInternal(t *testing.T) {
 // TestPreciseReclamationExternal: each remove frees exactly two nodes
 // (leaf + router) immediately.
 func TestPreciseReclamationExternal(t *testing.T) {
-	tr := NewExternal(Config{Mode: ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: 8}})
+	tr := NewExternal(link.Config{Mode: link.ModeRR, RRKind: core.KindV, Threads: 1, Window: core.Window{W: 8}})
 	tr.Register(0)
 	base := tr.LiveNodes()
 	tr.Insert(0, 10)
@@ -312,7 +313,7 @@ func TestConcurrentSuccessorSwaps(t *testing.T) {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			const threads = 6
-			tr := NewInternal(Config{Mode: ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 2}})
+			tr := NewInternal(link.Config{Mode: link.ModeRR, RRKind: k, Threads: threads, Window: core.Window{W: 2}})
 			for tid := 0; tid < threads; tid++ {
 				tr.Register(tid)
 			}
@@ -369,7 +370,7 @@ func TestConcurrentSuccessorSwaps(t *testing.T) {
 // removing it must promote the sentinel leaf back into place.
 func TestExternalSentinelChurn(t *testing.T) {
 	for _, k := range core.Kinds() {
-		tr := NewExternal(Config{Mode: ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 2}})
+		tr := NewExternal(link.Config{Mode: link.ModeRR, RRKind: k, Threads: 1, Window: core.Window{W: 2}})
 		t.Run(tr.Name(), func(t *testing.T) {
 			tr.Register(0)
 			base := tr.LiveNodes()
@@ -397,7 +398,7 @@ func TestExternalSentinelChurn(t *testing.T) {
 // TestExternalDepthOneRemovals removes keys whose parent router hangs
 // directly off the inner sentinel.
 func TestExternalDepthOneRemovals(t *testing.T) {
-	tr := NewExternal(Config{Mode: ModeHTM, Threads: 1})
+	tr := NewExternal(link.Config{Mode: link.ModeHTM, Threads: 1})
 	tr.Register(0)
 	// Build then tear down in both orders.
 	for _, order := range [][]uint64{{1, 2, 3}, {3, 2, 1}} {
@@ -418,14 +419,14 @@ func TestExternalDepthOneRemovals(t *testing.T) {
 func TestInternalRejectsTMHP(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewInternal(ModeTMHP) did not panic")
+			t.Fatal("NewInternal(link.ModeTMHP) did not panic")
 		}
 	}()
-	NewInternal(Config{Mode: ModeTMHP, Threads: 1})
+	NewInternal(link.Config{Mode: link.ModeTMHP, Threads: 1})
 }
 
 func TestKeyRangeGuard(t *testing.T) {
-	tr := NewInternal(Config{Mode: ModeHTM, Threads: 1})
+	tr := NewInternal(link.Config{Mode: link.ModeHTM, Threads: 1})
 	tr.Register(0)
 	defer func() {
 		if recover() == nil {
